@@ -1,7 +1,7 @@
-# Developer targets. `make verify` is the pre-merge gate: build, vet, the
-# full test suite, and a race-detector pass over the concurrency-bearing
-# packages (the parallel engine, the scheduler, and the sharded telemetry
-# recorder).
+# Developer targets. `make verify` is the pre-merge gate: build, vet (the
+# benchmark module included), the full test suite, and a race-detector pass
+# over the concurrency-bearing packages (the parallel engine, the scheduler,
+# and the sharded telemetry recorder).
 
 GO ?= go
 
@@ -10,8 +10,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# perfbench/ is a module of its own, so ./... never reaches it; it imports
+# internal packages, so vetting it catches an internal API change that would
+# break the benchmark.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

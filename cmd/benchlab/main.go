@@ -20,7 +20,7 @@ import (
 	"strings"
 
 	"pochoir/internal/benchlab"
-	"pochoir/internal/core"
+	"pochoir/internal/engine"
 )
 
 func main() {
@@ -59,7 +59,7 @@ func runCmd(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	profile := fs.String("profile", "quick", "workload profile: quick or full")
 	benches := fs.String("bench", "", "comma-separated benchmark names (default: the whole suite)")
-	engines := fs.String("engines", "", "comma-separated engines among TRAP,STRAP,LOOPS (default: all)")
+	engines := fs.String("engines", "", fmt.Sprintf("comma-separated engines among %v (default: all)", engine.All()))
 	skipSlow := fs.Bool("skip-slow", false, "skip the instrumented telemetry repetition and the cache trace")
 	out := fs.String("out", "BENCH_pochoir.json", "output report path")
 	quiet := fs.Bool("q", false, "suppress per-configuration progress lines")
@@ -71,9 +71,9 @@ func runCmd(args []string) {
 	}
 	if *engines != "" {
 		for _, name := range splitList(*engines) {
-			alg, ok := parseEngine(name)
+			alg, ok := engine.Parse(strings.ToUpper(name))
 			if !ok {
-				fatalf("unknown engine %q (want TRAP, STRAP, or LOOPS)", name)
+				fatalf("unknown engine %q (want one of %v)", name, engine.All())
 			}
 			cfg.Engines = append(cfg.Engines, alg)
 		}
@@ -155,18 +155,6 @@ func compare(oldPath, newPath string, gate benchlab.Gate, markdown, informationa
 		return 0
 	}
 	return 1
-}
-
-func parseEngine(name string) (core.Algorithm, bool) {
-	switch strings.ToUpper(name) {
-	case "TRAP":
-		return core.TRAP, true
-	case "STRAP":
-		return core.STRAP, true
-	case "LOOPS":
-		return core.LOOPS, true
-	}
-	return 0, false
 }
 
 func splitList(s string) []string {

@@ -185,6 +185,9 @@ func runResilience() {
 	} else {
 		fmt.Printf("degradation ladder:            %d attempts, %d degradations, finished on %v  [%s]\n",
 			rep.Attempts, rep.Degradations, rep.FinalEngine, check(sum(u), refSum))
+		for _, ev := range rep.Events {
+			fmt.Printf("    %s\n", ev)
+		}
 	}
 
 	// 5. Shadow verification: a silently corrupted sweep (wrong values, no

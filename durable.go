@@ -142,25 +142,11 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	}
 	// Resolve the observability sinks exactly as RunSupervised will, so the
 	// resume decision lands in the same places as the run it starts.
-	rec := p.Telemetry
-	if rec == nil {
-		rec = s.opts.Telemetry
-	}
-	fr := p.Flight
-	if fr == nil {
-		fr = s.flightRecorder()
-	}
-	var sm *metrics.SupervisorMetrics
-	if reg := p.Metrics; reg != nil {
-		sm = metrics.NewSupervisorMetrics(reg)
-	} else if reg := s.opts.Metrics; reg != nil {
-		sm = metrics.NewSupervisorMetrics(reg)
-	}
+	p = s.supervisorSinks(p)
+	sm := metrics.NewSupervisorMetrics(p.Metrics)
 	emit := func(ev telemetry.SupEvent) {
-		if rec != nil {
-			rec.Supervisor(ev)
-		}
-		fr.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
+		p.Telemetry.Supervisor(ev)
+		p.Flight.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
 	}
 
 	jour, err := wire.OpenJournal(p.SpillDir, p.SpillKeep)
@@ -171,18 +157,14 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	if err != nil {
 		return nil, fmt.Errorf("pochoir: read spill journal: %w", err)
 	}
-	if skipped > 0 && sm != nil {
-		sm.ResumeCorrupt.Add(int64(skipped))
-	}
+	sm.ResumeCorrupt.Add(int64(skipped))
 	if wcp == nil {
 		// Nothing durable to resume from: cold start.
 		reason := "journal empty (cold start)"
 		if skipped > 0 {
 			reason = fmt.Sprintf("all %d journal entries corrupt (cold start)", skipped)
 		}
-		if sm != nil {
-			sm.ResumeCold.Inc()
-		}
+		sm.ResumeCold.Inc()
 		emit(telemetry.SupEvent{Kind: telemetry.SupResume, Err: reason})
 		return s.RunSupervised(ctx, totalSteps, kern, p)
 	}
@@ -199,9 +181,7 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	if err := s.Restore(cp); err != nil {
 		return nil, fmt.Errorf("pochoir: restore durable checkpoint %s: %w", ent.Path, err)
 	}
-	if sm != nil {
-		sm.ResumeRestored.Inc()
-	}
+	sm.ResumeRestored.Inc()
 	emit(telemetry.SupEvent{Kind: telemetry.SupResume, Attempt: cp.stepsRun})
 	return s.RunSupervised(ctx, totalSteps-cp.stepsRun, kern, p)
 }

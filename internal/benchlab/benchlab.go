@@ -33,6 +33,7 @@ import (
 	"pochoir/internal/cachesim"
 	"pochoir/internal/cilkview"
 	"pochoir/internal/core"
+	"pochoir/internal/engine"
 	"pochoir/internal/stencils"
 	"pochoir/internal/telemetry"
 )
@@ -51,11 +52,6 @@ var Suite = []string{
 	"Heat 2", "Heat 2p", "Heat 4", "Life 2p", "Wave 3", "LBM 3",
 	"APOP", "3D 7-point", "3D 27-point",
 }
-
-// Engines are the decomposition engines every benchmark runs under:
-// hyperspace cuts (TRAP, the paper's contribution), serial space cuts
-// (STRAP, the Frigo–Strumpen baseline), and the loop-nest sweep (LOOPS).
-var Engines = []core.Algorithm{core.TRAP, core.STRAP, core.LOOPS}
 
 // HostInfo records where a report was produced.
 type HostInfo struct {
@@ -159,7 +155,7 @@ type Config struct {
 	Profile string
 	// Benchmarks restricts the suite to the named benchmarks; nil runs all.
 	Benchmarks []string
-	// Engines restricts the engine sweep; nil runs all three.
+	// Engines restricts the engine sweep; nil runs every engine.
 	Engines []core.Algorithm
 	// Budget is the target total measuring time per configuration; the
 	// calibrator picks the repetition count from it. Zero selects the
@@ -199,7 +195,7 @@ func (c *Config) defaults() error {
 		c.Benchmarks = Suite
 	}
 	if c.Engines == nil {
-		c.Engines = Engines
+		c.Engines = engine.All()
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

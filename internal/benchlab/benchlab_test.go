@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"pochoir/internal/engine"
 )
 
 // TestCollectFusesSignals: a one-benchmark quick session produces one run
@@ -24,8 +26,8 @@ func TestCollectFusesSignals(t *testing.T) {
 	if rep.Host.CPUs <= 0 || rep.Host.GoVersion == "" {
 		t.Fatalf("missing host provenance: %+v", rep.Host)
 	}
-	if len(rep.Runs) != len(Engines) {
-		t.Fatalf("got %d runs, want one per engine (%d)", len(rep.Runs), len(Engines))
+	if len(rep.Runs) != engine.Count {
+		t.Fatalf("got %d runs, want one per engine (%d)", len(rep.Runs), engine.Count)
 	}
 	seen := map[string]bool{}
 	for _, r := range rep.Runs {
@@ -58,7 +60,7 @@ func TestCollectFusesSignals(t *testing.T) {
 			t.Fatalf("%s: miss ratio %f out of (0,1]", r.Key(), ratio)
 		}
 	}
-	for _, alg := range Engines {
+	for _, alg := range engine.All() {
 		if !seen[alg.String()] {
 			t.Fatalf("engine %v missing from report", alg)
 		}

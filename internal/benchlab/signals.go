@@ -133,7 +133,7 @@ func cacheSignal(f stencils.Factory, w benchdef.Workload, alg core.Algorithm) (*
 	}
 	c := cachesim.New(m, benchdef.Fig10CacheB)
 	tr := cachesim.NewTracer(c, sh, sizes)
-	if alg == core.LOOPS {
+	if !alg.Recursive() {
 		cachesim.TraceLoops(tr, steps)
 	} else {
 		if _, err := cachesim.TraceWalker(engineWalker(sh, sizes, alg), tr, steps); err != nil {

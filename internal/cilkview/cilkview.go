@@ -110,7 +110,7 @@ func (a *Analyzer) Analyze(t0, t1 int) Metrics {
 		return Metrics{}
 	}
 	z := zoid.Box(t0, t1, a.W.Sizes[:a.W.NDims])
-	if a.W.Algorithm == core.LOOPS {
+	if !a.W.Algorithm.Recursive() {
 		return a.analyzeLoops(z)
 	}
 	return a.analyze(z)
@@ -165,7 +165,7 @@ func (a *Analyzer) analyze(z zoid.Zoid) Metrics {
 }
 
 func (a *Analyzer) analyzeUncached(z zoid.Zoid) Metrics {
-	cuts := a.W.CutSet(z)
+	cuts := a.W.CutSet(z, nil)
 	if len(cuts) > 0 {
 		switch a.W.Algorithm {
 		case core.STRAP:

@@ -138,7 +138,7 @@ func TestAbortedRunReleasesTelemetryShards(t *testing.T) {
 			panic("abort")
 		}
 	})
-	w.Rec = rec
+	w.Obs = &Observer{Rec: rec}
 	if err := w.Run(1, 17); err == nil {
 		t.Fatal("aborted run returned nil")
 	}
@@ -151,7 +151,7 @@ func TestAbortedRunReleasesTelemetryShards(t *testing.T) {
 	}
 	workersAfterAbort := rec.Workers()
 	w2 := newTestWalker([]int{48, 48}, false, TRAP, func(z zoid.Zoid) {})
-	w2.Rec = rec
+	w2.Obs = &Observer{Rec: rec}
 	for i := 0; i < 3; i++ {
 		if err := w2.Run(1, 17); err != nil {
 			t.Fatal(err)

@@ -14,15 +14,14 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"runtime/pprof"
 	"sync/atomic"
 
+	"pochoir/internal/engine"
 	"pochoir/internal/faultpoint"
 	"pochoir/internal/flight"
-	"pochoir/internal/metrics"
 	"pochoir/internal/profile"
 	"pochoir/internal/sched"
 	"pochoir/internal/telemetry"
@@ -88,39 +87,16 @@ func (e *KernelPanicError) Unwrap() error {
 // through the boundary function.
 type BaseFunc func(z zoid.Zoid)
 
-// Algorithm selects the decomposition strategy.
-type Algorithm int
+// Algorithm selects the decomposition strategy; the engines, their names
+// and their properties are the rows of the engine table.
+type Algorithm = engine.ID
 
+// The engines, re-exported from the engine table.
 const (
-	// TRAP cuts as many dimensions as possible simultaneously
-	// (hyperspace cuts), processing the 3^k subzoids in k+1 parallel
-	// steps (Lemma 1).
-	TRAP Algorithm = iota
-	// STRAP applies parallel space cuts one dimension at a time, as in
-	// Frigo and Strumpen's parallel algorithm, incurring 2 parallel
-	// steps per cut dimension.
-	STRAP
-	// LOOPS executes the computation as a time-serial sequence of
-	// chunked full-grid sweeps through the base-case clones — no
-	// recursive decomposition and no parallelism. It is the engine of
-	// last resort on the resilience degradation ladder: a bug in the
-	// recursive decomposition cannot reach it, cancellation is honored
-	// between chunks, and kernel panics carry zoid attribution exactly as
-	// in the recursive engines.
-	LOOPS
+	TRAP  = engine.TRAP
+	STRAP = engine.STRAP
+	LOOPS = engine.LOOPS
 )
-
-func (a Algorithm) String() string {
-	switch a {
-	case TRAP:
-		return "TRAP"
-	case STRAP:
-		return "STRAP"
-	case LOOPS:
-		return "LOOPS"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
 
 // Walker runs a trapezoidal-decomposition stencil computation.
 type Walker struct {
@@ -146,38 +122,10 @@ type Walker struct {
 
 	Algorithm Algorithm
 
-	// Rec, when non-nil, records every decomposition decision (cuts,
-	// base-case invocations, spawn-vs-inline choices) into per-worker
-	// telemetry shards. When nil — the default — every instrumentation
-	// point reduces to a single pointer comparison, so uninstrumented
-	// runs execute the unmodified hot path.
-	Rec *telemetry.Recorder
-
-	// Met, when non-nil, is the live metrics instrument set the walk
-	// updates: zoid/cut/base-case counters, point throughput, fork
-	// placement, active workers. Unlike telemetry shards, these are
-	// shared atomics a monitor scrapes mid-run. Nil — the default — costs
-	// one pointer comparison per instrumentation point.
-	Met *metrics.RunMetrics
-
-	// Prog, when non-nil, receives every executed base-case volume so the
-	// monitor can publish percent-complete and an ETA for the run.
-	Prog *metrics.Progress
-
-	// Flight is the black-box flight recorder the walk appends to: run
-	// start/end, every cut decision, every base-case entry, cancellation
-	// and panic markers. Unlike Rec and Met it is expected to be non-nil —
-	// pochoir defaults it to the process-wide flight.Default() — but a nil
-	// Flight is safe (Record on nil is a no-op), which is also how
-	// POCHOIR_FLIGHT=off disables recording everywhere at once.
-	Flight *flight.Recorder
-
-	// engPoints is Met.EnginePoints[Algorithm], resolved once per run so
-	// the base case indexes no array on the hot path; metObs is the
-	// pre-boxed sched observer, allocated once per run rather than once
-	// per fork-join region.
-	engPoints *metrics.Counter
-	metObs    *metricsObserver
+	// Obs is the run's observer: telemetry, metrics, progress, and the
+	// flight recorder all hang off it. Nil — the default — records
+	// nothing.
+	Obs *Observer
 
 	// cancelled is the per-run cooperative cancellation flag, set by a
 	// watcher goroutine when the RunContext context fires. It is nil for
@@ -186,14 +134,6 @@ type Walker struct {
 	// per zoid, amortized over the zoid's whole point set — the walker
 	// never checks inside a base case.
 	cancelled *atomic.Bool
-
-	// labelCtx carries the run's pprof goroutine labels (phase=walk plus
-	// whatever the caller attached: tenant, job, priority, engine). The
-	// base case re-labels CPU samples phase=base/boundary against it, but
-	// only while a continuous-profiling capture window is armed — when
-	// disarmed the per-base-case cost is one atomic load and a pointer
-	// comparison. Written once at run start, read-only during the run.
-	labelCtx context.Context
 }
 
 // DefaultGrain is the spawn threshold used when Walker.Grain is zero.
@@ -209,6 +149,9 @@ func (w *Walker) Validate() error {
 	}
 	if w.Boundary == nil {
 		return fmt.Errorf("core: Boundary base function is required")
+	}
+	if !w.Algorithm.Valid() {
+		return fmt.Errorf("core: unknown algorithm %v", w.Algorithm)
 	}
 	for i := 0; i < w.NDims; i++ {
 		if w.Sizes[i] <= 0 {
@@ -263,33 +206,21 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 	}
 	z := zoid.Box(t0, t1, w.Sizes[:w.NDims])
 
-	// Registered before every other defer so it runs last (LIFO) and sees
-	// the final error — after the watcher promoted cancellation and the
-	// recover below converted a panic.
-	w.Flight.Record(flight.EvRunStart, int64(w.Algorithm), int64(t0), int64(t1))
-	defer func() {
-		outcome := int64(0)
-		switch {
-		case err == nil:
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			outcome = 2
-		default:
-			outcome = 1
-		}
-		w.Flight.Record(flight.EvRunEnd, outcome, 0, 0)
-	}()
+	// Label the run goroutine phase=walk, merged with whatever labels the
+	// caller's context carries (the gateway's tenant/job/priority, the
+	// supervisor's engine). Spawned worker goroutines inherit the label
+	// set, so every CPU sample of the run self-attributes; the observer
+	// overrides phase per base case while a capture window is armed.
+	lctx := pprof.WithLabels(ctx, profile.LabelsWalk)
+	pprof.SetGoroutineLabels(lctx)
+	defer pprof.SetGoroutineLabels(ctx)
 
-	w.engPoints, w.metObs = nil, nil
-	if m := w.Met; m != nil {
-		m.RunsStarted.Inc()
-		m.RunsActive.Inc()
-		defer m.RunsActive.Dec()
-		alg := int(w.Algorithm)
-		if alg >= 0 && alg < len(m.EnginePoints) {
-			w.engPoints = m.EnginePoints[alg]
-		}
-		w.metObs = &metricsObserver{m: m}
-	}
+	// Registered before the other defers so it runs last (LIFO) and sees
+	// the final error — after the recover below converted a panic and the
+	// watcher promoted cancellation.
+	o := w.Obs
+	sh := o.runStart(lctx, w.Algorithm, t0, t1)
+	defer func() { o.runEnd(sh, err) }()
 
 	if done := ctx.Done(); done != nil {
 		var flag atomic.Bool
@@ -301,7 +232,7 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 			select {
 			case <-done:
 				flag.Store(true)
-				w.Flight.Record(flight.EvCancel, 0, 0, 0)
+				o.cancel()
 			case <-stop:
 			}
 		}()
@@ -318,51 +249,18 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 		}()
 	}
 
-	// Registered after the watcher defer and before the telemetry defer,
-	// so on a panic the shard is released first (LIFO), then the panic is
-	// converted here, then the watcher shuts down.
 	defer func() {
 		if r := recover(); r != nil {
-			err = panicToError(r)
+			err = PanicToError(r)
 		}
 	}()
 
-	// Label the run goroutine phase=walk, merged with whatever labels the
-	// caller's context carries (the gateway's tenant/job/priority, the
-	// supervisor's engine). Spawned worker goroutines inherit the label
-	// set, so every CPU sample of the run self-attributes; the base case
-	// overrides phase sample-by-sample while a capture window is armed.
-	lctx := pprof.WithLabels(ctx, profile.LabelsWalk)
-	pprof.SetGoroutineLabels(lctx)
-	w.labelCtx = lctx
-	defer func() {
-		w.labelCtx = nil
-		pprof.SetGoroutineLabels(ctx)
-	}()
-
-	if w.Rec == nil {
-		w.exec(z, nil)
-		return nil
-	}
-	w.Rec.RunStarted()
-	sh := w.Rec.Acquire()
-	defer func() {
-		// Deferred so failed runs still release the root shard, close
-		// its open spans, and balance the wall-time accounting.
-		w.Rec.Release(sh)
-		w.Rec.RunFinished()
-	}()
-	w.exec(z, sh)
-	return nil
-}
-
-// exec dispatches the root zoid to the configured engine.
-func (w *Walker) exec(z zoid.Zoid, sh *telemetry.Shard) {
-	if w.Algorithm == LOOPS {
+	if !w.Algorithm.Recursive() {
 		w.runLoops(z, sh)
-		return
+	} else {
+		w.walk(z, sh, 0)
 	}
-	w.walk(z, sh, 0)
+	return nil
 }
 
 // runLoops is the LOOPS engine: every time step is swept as height-1 zoids
@@ -381,9 +279,6 @@ func (w *Walker) runLoops(z zoid.Zoid, sh *telemetry.Shard) {
 			if c := w.cancelled; c != nil && c.Load() {
 				return
 			}
-			if m := w.Met; m != nil {
-				m.Zoids.Inc()
-			}
 			step := z
 			step.T0, step.T1 = t, t+1
 			step.Lo[0] = lo
@@ -395,16 +290,12 @@ func (w *Walker) runLoops(z zoid.Zoid, sh *telemetry.Shard) {
 	}
 }
 
-// PanicToError converts a recovered panic value into the structured error
-// the hardened contract promises: *KernelPanicError survives scheduler
-// wrapping, anything else becomes a *sched.PanicError. It is exported so
-// other engines (the LOOPS baseline driver) convert identically.
-func PanicToError(r any) error { return panicToError(r) }
-
-// panicToError converts a panic recovered at the top of a run into the
-// error Run returns, unwrapping scheduler wrapping so a kernel panic that
-// crossed fork-join sync points still surfaces as *KernelPanicError.
-func panicToError(r any) error {
+// PanicToError converts a panic recovered at the top of a run into the
+// error Run returns: *KernelPanicError survives scheduler wrapping, so a
+// kernel panic that crossed fork-join sync points still surfaces as one;
+// anything else becomes a *sched.PanicError. It is exported so other
+// engines (the LOOPS baseline driver) convert identically.
+func PanicToError(r any) error {
 	switch pe := r.(type) {
 	case *KernelPanicError:
 		return pe
@@ -421,28 +312,20 @@ func panicToError(r any) error {
 	}
 }
 
-// timeCutoff returns the effective base-case height threshold.
-func (w *Walker) timeCutoff() int {
+// TimeCutoffEffective returns the base-case height threshold in effect.
+func (w *Walker) TimeCutoffEffective() int {
 	if w.TimeCutoff < 1 {
 		return 1
 	}
 	return w.TimeCutoff
 }
 
-// CutSet collects the hyperspace-cut candidates for z: every dimension
-// along which a parallel space cut (or, for a still-complete periodic
-// dimension, a circle cut) is allowed. It is exported so analytical
+// CutSet collects into buf the hyperspace-cut candidates for z: every
+// dimension along which a parallel space cut (or, for a still-complete
+// periodic dimension, a circle cut) is allowed. It is exported so analytical
 // replays of the decomposition (internal/cilkview, internal/cachesim) make
 // exactly the decisions the execution engine makes.
-func (w *Walker) CutSet(z zoid.Zoid) []zoid.Cut {
-	return w.cuttable(z, nil)
-}
-
-// TimeCutoffEffective returns the base-case height threshold in effect.
-func (w *Walker) TimeCutoffEffective() int { return w.timeCutoff() }
-
-// cuttable collects hyperspace-cut candidates into buf.
-func (w *Walker) cuttable(z zoid.Zoid, buf []zoid.Cut) []zoid.Cut {
+func (w *Walker) CutSet(z zoid.Zoid, buf []zoid.Cut) []zoid.Cut {
 	buf = buf[:0]
 	for i := 0; i < w.NDims; i++ {
 		s := w.Slopes[i]
@@ -491,11 +374,8 @@ func (w *Walker) walk(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 	if c := w.cancelled; c != nil && c.Load() {
 		return
 	}
-	if m := w.Met; m != nil {
-		m.Zoids.Inc()
-	}
 	var cutBuf [zoid.MaxDims]zoid.Cut
-	cuts := w.cuttable(z, cutBuf[:0])
+	cuts := w.CutSet(z, cutBuf[:0])
 	if len(cuts) > 0 {
 		if faultpoint.Armed() {
 			faultpoint.Visit(faultpoint.SiteCut, depth)
@@ -508,24 +388,15 @@ func (w *Walker) walk(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 		}
 		return
 	}
-	if h := z.Height(); h > w.timeCutoff() {
+	if h := z.Height(); h > w.TimeCutoffEffective() {
 		if faultpoint.Armed() {
 			faultpoint.Visit(faultpoint.SiteCut, depth)
 		}
 		lower, upper := z.TimeCut()
-		if m := w.Met; m != nil {
-			m.TimeCuts.Inc()
-		}
-		w.Flight.Record(flight.EvCut, flight.CutTime, int64(h), 0)
-		span := -1
-		if sh != nil {
-			span = sh.TimeCut(h)
-		}
+		span := w.Obs.cut(sh, flight.CutTime, h, 0, 0)
 		w.walk(lower, sh, depth+1)
 		w.walk(upper, sh, depth+1)
-		if sh != nil {
-			sh.End(span)
-		}
+		sh.End(span)
 		return
 	}
 	w.base(z, sh, depth)
@@ -535,39 +406,23 @@ func (w *Walker) walk(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 // parallel (Fig. 2, lines 11–15).
 func (w *Walker) hyperspaceCut(z zoid.Zoid, cuts []zoid.Cut, sh *telemetry.Shard, depth int) {
 	lv := zoid.HyperspaceCut(z, cuts)
-	if m := w.Met; m != nil {
-		m.HyperCuts.Inc()
-	}
-	w.Flight.Record(flight.EvCut, flight.CutHyper, int64(lv.NumCut), int64(lv.Total()))
-	span := -1
-	if sh != nil {
-		span = sh.HyperCut(lv.NumCut, lv.Total(), len(lv.Zoids))
-	}
+	span := w.Obs.cut(sh, flight.CutHyper, lv.NumCut, lv.Total(), len(lv.Zoids))
 	parallel := !w.Serial && w.approxVolume(z) >= w.grain()
 	for _, level := range lv.Zoids {
 		w.walkAll(level, parallel, sh, depth+1)
 	}
-	if sh != nil {
-		sh.End(span)
-	}
+	sh.End(span)
 }
 
 // spaceCutSerialDims is the STRAP strategy: cut only along one dimension,
 // process its pieces in the 2 parallel steps of Fig. 7, and let the
 // recursion discover further cuttable dimensions one at a time.
 func (w *Walker) spaceCutSerialDims(z zoid.Zoid, c zoid.Cut, sh *telemetry.Shard, depth int) {
-	if m := w.Met; m != nil {
-		m.SpaceCuts.Inc()
-	}
-	cutCode := int64(flight.CutSpace)
+	kind := flight.CutSpace
 	if c.Kind == zoid.CutCircle {
-		cutCode = flight.CutCircle
+		kind = flight.CutCircle
 	}
-	w.Flight.Record(flight.EvCut, cutCode, int64(c.Dim), 0)
-	span := -1
-	if sh != nil {
-		span = sh.SpaceCut(c.Dim, c.Kind == zoid.CutCircle)
-	}
+	span := w.Obs.cut(sh, kind, c.Dim, 0, 0)
 	parallel := !w.Serial && w.approxVolume(z) >= w.grain()
 	if c.Kind == zoid.CutCircle {
 		sub, _ := z.CircleCut(c.Dim, c.Slope, c.Size)
@@ -580,9 +435,7 @@ func (w *Walker) spaceCutSerialDims(z zoid.Zoid, c zoid.Cut, sh *telemetry.Shard
 		w.walk(sub[1], sh, depth+1)
 		w.walkAll([]zoid.Zoid{sub[0], sub[2]}, parallel, sh, depth+1)
 	}
-	if sh != nil {
-		sh.End(span)
-	}
+	sh.End(span)
 }
 
 // walkAll processes a set of mutually independent zoids. Tasks that sched
@@ -590,13 +443,16 @@ func (w *Walker) spaceCutSerialDims(z zoid.Zoid, c zoid.Cut, sh *telemetry.Shard
 // acquire their own (see task), which is what gives the trace one track
 // per worker.
 func (w *Walker) walkAll(zs []zoid.Zoid, parallel bool, sh *telemetry.Shard, depth int) {
+	if len(zs) > 1 {
+		w.Obs.fork(sh, len(zs), parallel, depth)
+	}
 	switch len(zs) {
 	case 0:
 	case 1:
 		w.walk(zs[0], sh, depth)
 	case 2:
 		// Do2 contract: a is spawned, b runs on the calling goroutine.
-		sched.Do2Counted(parallel, w.counter(sh),
+		sched.Do2(parallel,
 			w.task(zs[0], parallel, sh, depth),
 			func() { w.walk(zs[1], sh, depth) })
 	default:
@@ -610,73 +466,18 @@ func (w *Walker) walkAll(zs []zoid.Zoid, parallel bool, sh *telemetry.Shard, dep
 				fns[i] = w.task(zz, parallel, sh, depth)
 			}
 		}
-		sched.DoAllCounted(parallel, w.counter(sh), fns)
+		sched.DoAll(parallel, fns)
 	}
 }
 
-// task wraps a subwalk that the scheduler may run on a fresh goroutine:
-// with telemetry enabled it acquires a worker shard for the goroutine's
-// lifetime so recording stays contention-free. The release is deferred so
-// a panicking subwalk still returns its shard (with any open spans closed)
-// before the panic reaches the scheduler's sync point.
+// task wraps a subwalk that the scheduler may run on a fresh goroutine;
+// when it does, the observer brackets the goroutine (see Observer.worker).
 func (w *Walker) task(z zoid.Zoid, parallel bool, sh *telemetry.Shard, depth int) func() {
-	if m := w.Met; m != nil && parallel {
-		m.ForkDepth.Observe(int64(depth))
+	if o := w.Obs; o != nil && parallel {
+		return func() { o.worker(func(sh *telemetry.Shard) { w.walk(z, sh, depth) }) }
 	}
-	if sh == nil || !parallel {
-		return func() { w.walk(z, sh, depth) }
-	}
-	rec := w.Rec
-	return func() {
-		s2 := rec.Acquire()
-		defer rec.Release(s2)
-		w.walk(z, s2, depth)
-	}
+	return func() { w.walk(z, sh, depth) }
 }
-
-// counter adapts the current goroutine's possibly-nil shard, plus the
-// run's metrics observer, to sched.Counter without producing a non-nil
-// interface holding a nil pointer. With only one system armed the cached
-// value is returned directly; only the both-armed case allocates a
-// combining adapter, once per fork-join region.
-func (w *Walker) counter(sh *telemetry.Shard) sched.Counter {
-	if w.metObs == nil {
-		if sh == nil {
-			return nil
-		}
-		return sh
-	}
-	if sh == nil {
-		return w.metObs
-	}
-	return &instr{sh: sh, obs: w.metObs}
-}
-
-// metricsObserver feeds the scheduler's decisions into the metrics
-// instrument set. It implements sched.WorkerObserver, so spawned goroutines
-// also bracket the active-workers gauge; all its updates are atomics, safe
-// from any goroutine.
-type metricsObserver struct{ m *metrics.RunMetrics }
-
-func (o *metricsObserver) Spawned(n int)   { o.m.Spawns.Add(int64(n)) }
-func (o *metricsObserver) Inlined(n int)   { o.m.Inlines.Add(int64(n)) }
-func (o *metricsObserver) WorkerStarted()  { o.m.ActiveWorkers.Inc() }
-func (o *metricsObserver) WorkerFinished() { o.m.ActiveWorkers.Dec() }
-
-// instr combines the goroutine-private telemetry shard with the shared
-// metrics observer when both systems are armed. The shard methods fire only
-// on the calling goroutine (the Counter contract); the worker notifications
-// go to the metrics side alone, since shards must never be touched from a
-// spawned goroutine.
-type instr struct {
-	sh  *telemetry.Shard
-	obs *metricsObserver
-}
-
-func (c *instr) Spawned(n int)   { c.sh.Spawned(n); c.obs.Spawned(n) }
-func (c *instr) Inlined(n int)   { c.sh.Inlined(n); c.obs.Inlined(n) }
-func (c *instr) WorkerStarted()  { c.obs.WorkerStarted() }
-func (c *instr) WorkerFinished() { c.obs.WorkerFinished() }
 
 // base dispatches z to the interior or boundary clone (§4, code cloning).
 // A panic in the clone — a crashing user kernel — is re-raised as a
@@ -690,8 +491,7 @@ func (w *Walker) base(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 			case *KernelPanicError, *sched.PanicError:
 				panic(r) // already located by a nested region
 			}
-			w.Flight.Record(flight.EvPanic,
-				flight.PackPair(z.T0, z.T1), flight.PackPair(z.Lo[0], z.Hi[0]), flight.PanicBase)
+			w.Obs.kernelPanic(z)
 			panic(&KernelPanicError{Value: r, Stack: debug.Stack(), Zoid: z})
 		}
 	}()
@@ -702,69 +502,11 @@ func (w *Walker) base(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 		faultpoint.Visit(faultpoint.SiteBase, depth)
 	}
 	interior := w.Interior != nil && w.IsInterior(z)
-	if fr := w.Flight; fr != nil {
-		bit := int64(0)
-		if interior {
-			bit = 1
-		}
-		fr.Record(flight.EvBase,
-			flight.PackPair(z.T0, z.T1), flight.PackPair(z.Lo[0], z.Hi[0]), z.Volume()<<1|bit)
-	}
-	if m := w.Met; m != nil {
-		// One volume computation and a handful of atomic adds per base
-		// case, amortized over the zoid's whole point set.
-		vol := z.Volume()
-		if interior {
-			m.BaseInterior.Inc()
-		} else {
-			m.BaseBoundary.Inc()
-		}
-		m.BasePoints.Add(vol)
-		m.BaseVolume.Observe(vol)
-		if w.engPoints != nil {
-			w.engPoints.Add(vol)
-		}
-	}
-	if p := w.Prog; p != nil {
-		p.Add(z.Volume())
-	}
-	// While a continuous-profiling capture window is armed, re-label the
-	// kernel invocation phase=base/boundary so CPU samples attribute to
-	// the kernels themselves rather than the surrounding walk. Disarmed —
-	// the overwhelmingly common case — this is one atomic load.
-	if profile.Armed() {
-		if lc := w.labelCtx; lc != nil {
-			ls := profile.LabelsBoundary
-			if interior {
-				ls = profile.LabelsBase
-			}
-			pprof.Do(lc, ls, func(context.Context) {
-				w.invokeKernel(z, sh, interior)
-			})
-			return
-		}
-	}
-	w.invokeKernel(z, sh, interior)
-}
-
-// invokeKernel runs the selected clone, bracketed by the telemetry span
-// when a shard is attached.
-func (w *Walker) invokeKernel(z zoid.Zoid, sh *telemetry.Shard, interior bool) {
-	if sh != nil {
-		span := sh.Base(z.Volume(), interior, z.Height())
-		if interior {
-			w.Interior(z)
-		} else {
-			w.Boundary(z)
-		}
-		sh.End(span)
-		return
-	}
+	kern := w.Boundary
 	if interior {
-		w.Interior(z)
-		return
+		kern = w.Interior
 	}
-	w.Boundary(z)
+	w.Obs.base(z, sh, interior, kern)
 }
 
 // IsInterior reports whether every kernel application within z accesses

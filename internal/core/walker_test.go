@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -364,7 +365,7 @@ func TestWalkerTelemetry(t *testing.T) {
 				Serial:     serial,
 				TimeCutoff: 2,
 				Grain:      1, // spawn aggressively
-				Rec:        rec,
+				Obs:        &Observer{Rec: rec},
 			}
 			for i, n := range sizes {
 				w.Sizes[i] = n
@@ -414,5 +415,14 @@ func TestAlgorithmString(t *testing.T) {
 	}
 	if Algorithm(9).String() == "" {
 		t.Fatal("unknown algorithm should still render")
+	}
+}
+
+// TestUnknownAlgorithmRejected: an algorithm outside the engine table is a
+// configuration error, not a silent fallback to some engine.
+func TestUnknownAlgorithmRejected(t *testing.T) {
+	w := newTestWalker([]int{16}, true, Algorithm(9), func(z zoid.Zoid) {})
+	if err := w.Run(1, 3); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Fatalf("Run with Algorithm(9) = %v, want an unknown-algorithm error", err)
 	}
 }

@@ -47,6 +47,8 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"pochoir/internal/engine"
 )
 
 // Kind classifies one recorded event. The three A0..A2 arguments are
@@ -55,7 +57,7 @@ type Kind uint8
 
 const (
 	// EvRunStart marks a walker run (or supervised segment attempt)
-	// entering the engine: A0 = algorithm (0 TRAP, 1 STRAP, 2 LOOPS),
+	// entering the engine: A0 = engine.ID,
 	// A1 = first home time, A2 = end home time.
 	EvRunStart Kind = iota
 	// EvRunEnd marks the walker returning: A0 = outcome (0 ok, 1 error,
@@ -147,16 +149,6 @@ func UnpackPair(v int64) (a, b int) {
 	return int(int32(uint64(v) >> 32)), int(int32(uint64(v)))
 }
 
-var engineNames = [3]string{"TRAP", "STRAP", "LOOPS"}
-
-// EngineName renders an EvRunStart algorithm argument.
-func EngineName(a int64) string {
-	if a >= 0 && int(a) < len(engineNames) {
-		return engineNames[a]
-	}
-	return fmt.Sprintf("engine(%d)", a)
-}
-
 // Cut kind codes of EvCut's A0.
 const (
 	CutHyper  = 0
@@ -214,7 +206,7 @@ type Event struct {
 func (e Event) Describe() string {
 	switch e.Kind {
 	case EvRunStart:
-		return fmt.Sprintf("run-start engine=%s t=[%d,%d)", EngineName(e.A0), e.A1, e.A2)
+		return fmt.Sprintf("run-start engine=%s t=[%d,%d)", engine.ID(e.A0), e.A1, e.A2)
 	case EvRunEnd:
 		switch e.A0 {
 		case 0:

@@ -843,15 +843,12 @@ func (g *Gateway) runJob(j *job) {
 		j.trace.Mark("deadline-expired-queued", trace.SpanID{}, trace.StatusDeadline)
 	} else {
 		ctx, cancel := context.WithDeadline(g.baseCtx, j.deadline)
-		opts := pochoir.Options{
-			Metrics:       g.cfg.Metrics,
-			ProgressLabel: j.id,
-			Trace:         j.trace,
-		}
-		if g.cfg.Flight != nil {
-			opts.FlightRecorder = g.cfg.Flight
-		}
-		j.inst.Stencil.SetOptions(opts)
+		j.inst.Stencil.SetOptions(pochoir.Options{
+			Metrics:        g.cfg.Metrics,
+			ProgressLabel:  j.id,
+			Trace:          j.trace,
+			FlightRecorder: g.cfg.Flight,
+		})
 		policy := g.cfg.Supervise
 		if g.cfg.SpillDir != "" {
 			policy.SpillDir = g.cfg.SpillDir + "/" + j.id
@@ -879,6 +876,9 @@ func (g *Gateway) runJob(j *job) {
 
 	now = g.cfg.now()
 	j.mu.Lock()
+	// Nothing reads the instance after the checksum: release it and its
+	// grids rather than keep them for the life of the job record.
+	j.inst = nil
 	j.finishedAt = now
 	if rep != nil {
 		j.retries = rep.Retries

@@ -60,6 +60,28 @@ func TestGatewayRunsAJob(t *testing.T) {
 	}
 }
 
+// TestGatewayReleasesFinishedInstance: a finished job keeps its status and
+// checksum, but not the compiled instance and grids it ran on.
+func TestGatewayReleasesFinishedInstance(t *testing.T) {
+	g := New(Config{Workers: 1})
+	defer g.Close()
+	st, serr := g.Submit("alice", sub(16, 64, 3))
+	if serr != nil {
+		t.Fatalf("submit: %v", serr)
+	}
+	if fin := waitDone(t, g, st.ID); fin.State != StateDone || fin.Checksum == "" {
+		t.Fatalf("job did not finish cleanly: %+v", fin)
+	}
+	g.mu.Lock()
+	j := g.jobs[st.ID]
+	g.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.inst != nil {
+		t.Fatal("finished job still holds its compiler instance")
+	}
+}
+
 // TestGatewayValidation: malformed specs, bad steps/sizes, and over-limit
 // grids are refused with the right HTTP code before any work is queued.
 func TestGatewayValidation(t *testing.T) {

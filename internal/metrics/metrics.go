@@ -154,8 +154,11 @@ func newCounter(d *Desc) *Counter {
 func (c *Counter) describe() *Desc { return c.desc }
 
 // Add increments the counter by n (n must be >= 0 for Prometheus semantics;
-// this is not checked on the hot path).
+// this is not checked on the hot path). A nil counter counts nothing.
 func (c *Counter) Add(n int64) {
+	if c == nil {
+		return
+	}
 	c.stripes[stripeIndex()&c.mask].n.Add(n)
 }
 

@@ -1,15 +1,13 @@
 package metrics
 
+import "pochoir/internal/engine"
+
 // This file defines the pre-resolved instrument sets the engine layers hold.
 // Resolving a metric means a map lookup under the registry lock, so the
 // walker, scheduler, and supervisor each resolve their whole set once (at
 // arm time / run start) and then touch only the cached pointers on hot
 // paths. A nil set pointer disarms every instrumentation point with a
 // single comparison, mirroring the telemetry recorder's discipline.
-
-// Engine names index RunMetrics.EnginePoints; the values match
-// core.Algorithm (TRAP=0, STRAP=1, LOOPS=2).
-var engineNames = [3]string{"TRAP", "STRAP", "LOOPS"}
 
 // RunMetrics is the walker/scheduler instrument set.
 type RunMetrics struct {
@@ -30,9 +28,9 @@ type RunMetrics struct {
 	BasePoints   *Counter
 	BaseVolume   *Histogram
 
-	// EnginePoints[core.Algorithm] attributes base-case points to the
-	// engine that executed them.
-	EnginePoints [3]*Counter
+	// EnginePoints[engine.ID] attributes base-case points to the engine
+	// that executed them.
+	EnginePoints [engine.Count]*Counter
 
 	// Scheduler: forks spawned vs inlined, concurrently active workers,
 	// and the fork-depth distribution.
@@ -75,9 +73,9 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 		LastWallSeconds: r.Gauge("pochoir_last_wall_seconds", "Wall time of the last telemetry-armed run segment."),
 		LastWorkers:     r.Gauge("pochoir_last_workers", "Distinct workers of the last telemetry-armed run segment."),
 	}
-	for i, name := range engineNames {
-		m.EnginePoints[i] = r.Counter("pochoir_engine_points_total",
-			"Base-case points executed, by engine.", Label{"engine", name})
+	for _, id := range engine.All() {
+		m.EnginePoints[id] = r.Counter("pochoir_engine_points_total",
+			"Base-case points executed, by engine.", Label{"engine", id.String()})
 	}
 	return m
 }
@@ -113,7 +111,11 @@ type SupervisorMetrics struct {
 }
 
 // NewSupervisorMetrics resolves the supervisor instrument set against r.
+// A nil r yields a set of nil counters, which count nothing.
 func NewSupervisorMetrics(r *Registry) *SupervisorMetrics {
+	if r == nil {
+		return &SupervisorMetrics{}
+	}
 	return &SupervisorMetrics{
 		SegmentsDone:   r.Counter("pochoir_sup_segments_total", "Supervised segments by outcome.", Label{"outcome", "ok"}),
 		SegmentsFailed: r.Counter("pochoir_sup_segments_total", "Supervised segments by outcome.", Label{"outcome", "failed"}),

@@ -3,35 +3,10 @@ package resilience
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"time"
 
 	"pochoir/internal/telemetry"
 )
-
-// MarshalJSON renders the engine as its stable String() name.
-func (e Engine) MarshalJSON() ([]byte, error) {
-	return json.Marshal(e.String())
-}
-
-// UnmarshalJSON parses the engine name back.
-func (e *Engine) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	switch s {
-	case "TRAP":
-		*e = EngineFull
-	case "STRAP":
-		*e = EngineSTRAP
-	case "LOOPS":
-		*e = EngineLoops
-	default:
-		return fmt.Errorf("resilience: unknown engine %q", s)
-	}
-	return nil
-}
 
 // segmentReportJSON fixes SegmentReport's wire field names so reports embed
 // stably in post-mortem bundles and /statusz.

@@ -33,39 +33,28 @@ import (
 	"math/rand"
 	"time"
 
+	"pochoir/internal/engine"
 	"pochoir/internal/flight"
 	"pochoir/internal/metrics"
 	"pochoir/internal/telemetry"
 )
 
-// Engine names a rung of the degradation ladder. The supervisor itself
-// attaches no semantics to the values beyond their order in Policy.Ladder;
-// the Driver maps them onto real execution engines.
-type Engine int
+// Engine names a rung of the degradation ladder: a row of the engine
+// table. The supervisor attaches no semantics to the values beyond their
+// order in Policy.Ladder; the Driver runs them.
+type Engine = engine.ID
 
 const (
-	// EngineFull is the configured recursive engine (TRAP with hyperspace
-	// cuts by default).
-	EngineFull Engine = iota
+	// EngineFull is the full recursive engine, TRAP. On a stencil's
+	// ladder it stands for the configured Options.Algorithm.
+	EngineFull = engine.TRAP
 	// EngineSTRAP is the serial-space-cut decomposition — still recursive,
 	// but a different cut strategy, so it sidesteps hyperspace-cut bugs.
-	EngineSTRAP
+	EngineSTRAP = engine.STRAP
 	// EngineLoops is the time-serial checked loop engine of last resort:
 	// no decomposition, no parallelism, every access checked.
-	EngineLoops
+	EngineLoops = engine.LOOPS
 )
-
-func (e Engine) String() string {
-	switch e {
-	case EngineFull:
-		return "TRAP"
-	case EngineSTRAP:
-		return "STRAP"
-	case EngineLoops:
-		return "LOOPS"
-	}
-	return "Engine(?)"
-}
 
 // Clock abstracts time for the supervisor so the backoff and watchdog
 // logic runs deterministically under test with no real sleeps.

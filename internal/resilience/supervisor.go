@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/pprof"
 
+	"pochoir/internal/engine"
 	"pochoir/internal/flight"
 	"pochoir/internal/metrics"
 	"pochoir/internal/profile"
@@ -16,11 +17,12 @@ import (
 // attempts, precomputed so the supervisor loop allocates none. A CPU
 // sample taken mid-attempt then attributes to the engine that executed it
 // — including attempts re-run on a lower rung of the degradation ladder.
-var engineLabels = [...]pprof.LabelSet{
-	EngineFull:  pprof.Labels("engine", "TRAP"),
-	EngineSTRAP: pprof.Labels("engine", "STRAP"),
-	EngineLoops: pprof.Labels("engine", "LOOPS"),
-}
+var engineLabels = func() (ls [engine.Count]pprof.LabelSet) {
+	for i := range ls {
+		ls[i] = pprof.Labels("engine", Engine(i).String())
+	}
+	return ls
+}()
 
 func engineLabelSet(e Engine) pprof.LabelSet {
 	if int(e) >= 0 && int(e) < len(engineLabels) {
@@ -82,15 +84,10 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 	}
 	rung := 0
 	rep := &Report{Steps: d.Steps, FinalEngine: p.Ladder[0]}
-	var sm *metrics.SupervisorMetrics
-	if p.Metrics != nil {
-		sm = metrics.NewSupervisorMetrics(p.Metrics)
-	}
+	sm := metrics.NewSupervisorMetrics(p.Metrics)
 	start := p.Clock.Now()
 	emit := func(ev telemetry.SupEvent) {
-		if p.Telemetry != nil {
-			p.Telemetry.Supervisor(ev) // the recorder stamps its copy itself
-		}
+		p.Telemetry.Supervisor(ev) // the recorder stamps its copy itself
 		p.Flight.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
 		ev.TS = p.Clock.Now().Sub(start).Nanoseconds()
 		rep.Events = append(rep.Events, ev)
@@ -99,9 +96,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 		}
 	}
 	fail := func(seg SegmentReport, err error) (*Report, error) {
-		if sm != nil {
-			sm.GiveUps.Inc()
-		}
+		sm.GiveUps.Inc()
 		rep.Segments = append(rep.Segments, seg)
 		rep.FinalEngine = p.Ladder[rung]
 		rep.Err = err
@@ -130,9 +125,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				return fail(seg, fmt.Errorf("resilience: checkpoint before segment %d: %w", seg.Index, cperr))
 			}
 			rep.Checkpoints++
-			if sm != nil {
-				sm.Checkpoints.Inc()
-			}
+			sm.Checkpoints.Inc()
 			emit(telemetry.SupEvent{Kind: telemetry.SupCheckpoint, Segment: seg.Index})
 
 			if d.Spill != nil {
@@ -147,9 +140,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				if serr != nil {
 					// Durability degraded, run intact: record and move on.
 					rep.SpillErrors++
-					if sm != nil {
-						sm.SpillErrors.Inc()
-					}
+					sm.SpillErrors.Inc()
 					emit(telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index,
 						Err: serr.Error()})
 				} else {
@@ -157,11 +148,9 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 					rep.SpillBytes += bytes
 					rep.LastSpillPath = path
 					rep.LastSpillStep = from
-					if sm != nil {
-						sm.Spills.Inc()
-						sm.SpillBytes.Add(bytes)
-						sm.SpillNS.Add(spillNS)
-					}
+					sm.Spills.Inc()
+					sm.SpillBytes.Add(bytes)
+					sm.SpillNS.Add(spillNS)
 					emit(telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index})
 				}
 			}
@@ -173,9 +162,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 			rep.Attempts++
 			if attempt > 1 {
 				rep.Retries++
-				if sm != nil {
-					sm.Retries.Inc()
-				}
+				sm.Retries.Inc()
 			}
 			seg.Attempts = attempt
 			eng := p.Ladder[rung]
@@ -205,18 +192,14 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				})
 				if verr != nil {
 					rep.VerifyMismatches++
-					if sm != nil {
-						sm.VerifyMismatch.Inc()
-					}
+					sm.VerifyMismatch.Inc()
 					seg.VerifyMismatch = true
 					emit(telemetry.SupEvent{Kind: telemetry.SupVerifyMismatch, Segment: seg.Index,
 						Attempt: attempt, Engine: eng.String(), Err: verr.Error()})
 					err = verr
 				} else {
 					rep.Verified++
-					if sm != nil {
-						sm.VerifyOK.Inc()
-					}
+					sm.VerifyOK.Inc()
 					seg.Verified = true
 					emit(telemetry.SupEvent{Kind: telemetry.SupVerifyOK, Segment: seg.Index,
 						Attempt: attempt, Engine: eng.String()})
@@ -229,13 +212,11 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 			}
 			segErr = err
 			failures++
-			if sm != nil {
-				sm.SegmentsFailed.Inc()
-				// A deadline error with the parent still live means the
-				// per-attempt watchdog fired, not an outside cancellation.
-				if p.SegmentTimeout > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-					sm.WatchdogTrips.Inc()
-				}
+			sm.SegmentsFailed.Inc()
+			// A deadline error with the parent still live means the
+			// per-attempt watchdog fired, not an outside cancellation.
+			if p.SegmentTimeout > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+				sm.WatchdogTrips.Inc()
 			}
 			seg.Failures = append(seg.Failures, err.Error())
 			emit(telemetry.SupEvent{Kind: telemetry.SupSegmentFail, Segment: seg.Index,
@@ -263,26 +244,20 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				break
 			}
 			rep.Restores++
-			if sm != nil {
-				sm.Restores.Inc()
-			}
+			sm.Restores.Inc()
 			emit(telemetry.SupEvent{Kind: telemetry.SupRestore, Segment: seg.Index, Attempt: attempt})
 
 			if failures%p.DegradeAfter == 0 && rung < len(p.Ladder)-1 {
 				rung++
 				rep.Degradations++
-				if sm != nil {
-					sm.Degradations.Inc()
-				}
+				sm.Degradations.Inc()
 				emit(telemetry.SupEvent{Kind: telemetry.SupDegrade, Segment: seg.Index,
 					Attempt: attempt, Engine: p.Ladder[rung].String()})
 			}
 
 			delay := p.backoffDelay(failures)
 			rep.BackoffTotal += delay
-			if sm != nil {
-				sm.BackoffNS.Add(delay.Nanoseconds())
-			}
+			sm.BackoffNS.Add(delay.Nanoseconds())
 			seg.Backoff += delay
 			emit(telemetry.SupEvent{Kind: telemetry.SupBackoff, Segment: seg.Index,
 				Attempt: attempt, Delay: delay})
@@ -297,9 +272,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 		rep.FinalEngine = p.Ladder[rung]
 		rep.Segments = append(rep.Segments, seg)
 		rep.StepsDone = from + steps
-		if sm != nil {
-			sm.SegmentsDone.Inc()
-		}
+		sm.SegmentsDone.Inc()
 		emit(telemetry.SupEvent{Kind: telemetry.SupSegmentDone, Segment: seg.Index,
 			Attempt: seg.Attempts, Engine: seg.Engine.String()})
 		from += steps

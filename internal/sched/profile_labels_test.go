@@ -13,6 +13,7 @@ import (
 	"context"
 	"math"
 	"runtime/pprof"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +21,9 @@ import (
 	"pochoir/internal/sched"
 )
 
-var labelBurnSink float64
+// labelBurnSink keeps the burn loop live; the workers store into it
+// concurrently, so it is atomic.
+var labelBurnSink atomic.Uint64
 
 func labelBurn(d time.Duration) {
 	deadline := time.Now().Add(d)
@@ -30,7 +33,7 @@ func labelBurn(d time.Duration) {
 			x = math.Sqrt(x*x + 1.0001)
 		}
 	}
-	labelBurnSink = x
+	labelBurnSink.Store(math.Float64bits(x))
 }
 
 func TestSpawnedWorkersInheritProfilerLabels(t *testing.T) {
@@ -45,7 +48,7 @@ func TestSpawnedWorkersInheritProfilerLabels(t *testing.T) {
 		}
 		// parallel=true: all but the last run on spawned goroutines, so
 		// most samples land on workers the calling goroutine did not run.
-		sched.DoAllCounted(true, nil, fns)
+		sched.DoAll(true, fns)
 	})
 	pprof.StopCPUProfile()
 

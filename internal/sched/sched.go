@@ -103,62 +103,22 @@ func (s *panicSlot) rethrow() {
 	}
 }
 
-// Counter observes the scheduler's spawn-vs-inline decisions. Implementations
-// (telemetry shards) are goroutine-private: the scheduler only invokes the
-// counter on the calling goroutine, never from a spawned one. A nil Counter
-// disables observation at the cost of one comparison.
-type Counter interface {
-	// Spawned reports n tasks handed to fresh goroutines.
-	Spawned(n int)
-	// Inlined reports n tasks run on the calling goroutine.
-	Inlined(n int)
-}
-
-// WorkerObserver extends Counter with notifications bracketing the lifetime
-// of each spawned worker goroutine, detected by type assertion on the
-// Counter passed to Do2Counted/DoAllCounted. Unlike the Counter methods,
-// which fire only on the calling goroutine, WorkerStarted and WorkerFinished
-// fire on the spawned goroutine itself, so implementations must be safe for
-// concurrent use (the metrics active-workers gauge is a single atomic).
-type WorkerObserver interface {
-	Counter
-	// WorkerStarted fires on a spawned goroutine before its task runs.
-	WorkerStarted()
-	// WorkerFinished fires when the spawned task returns, panicking or not.
-	WorkerFinished()
-}
-
 // Do2 runs a and b, in parallel when parallel is true ("spawn a; call b;
 // sync" in Cilk terms), serially otherwise. If a task panics in a parallel
 // region, the sibling still runs to completion and the first panic is
 // re-raised as a *PanicError on the calling goroutine at the sync point.
-func Do2(parallel bool, a, b func()) { Do2Counted(parallel, nil, a, b) }
-
-// Do2Counted is Do2 with the spawn-vs-inline decision reported to c.
-func Do2Counted(parallel bool, c Counter, a, b func()) {
+func Do2(parallel bool, a, b func()) {
 	if !parallel {
-		if c != nil {
-			c.Inlined(2)
-		}
 		a()
 		b()
 		return
 	}
-	if c != nil {
-		c.Spawned(1)
-		c.Inlined(1)
-	}
-	obs, _ := c.(WorkerObserver)
 	var first panicSlot
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer first.capture()
-		if obs != nil {
-			obs.WorkerStarted()
-			defer obs.WorkerFinished()
-		}
 		a()
 	}()
 	func() {
@@ -172,28 +132,17 @@ func Do2Counted(parallel bool, c Counter, a, b func()) {
 // DoAll runs every function in fns, in parallel when parallel is true.
 // The final function runs on the calling goroutine, so a single-element
 // list never spawns.
-func DoAll(parallel bool, fns []func()) { DoAllCounted(parallel, nil, fns) }
-
-// DoAllCounted is DoAll with the spawn-vs-inline decisions reported to c.
-func DoAllCounted(parallel bool, c Counter, fns []func()) {
+func DoAll(parallel bool, fns []func()) {
 	n := len(fns)
 	if n == 0 {
 		return
 	}
 	if !parallel || n == 1 {
-		if c != nil {
-			c.Inlined(n)
-		}
 		for _, f := range fns {
 			f()
 		}
 		return
 	}
-	if c != nil {
-		c.Spawned(n - 1)
-		c.Inlined(1)
-	}
-	obs, _ := c.(WorkerObserver)
 	var first panicSlot
 	var wg sync.WaitGroup
 	wg.Add(n - 1)
@@ -202,10 +151,6 @@ func DoAllCounted(parallel bool, c Counter, fns []func()) {
 		go func() {
 			defer wg.Done()
 			defer first.capture()
-			if obs != nil {
-				obs.WorkerStarted()
-				defer obs.WorkerFinished()
-			}
 			f()
 		}()
 	}

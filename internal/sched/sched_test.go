@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"bytes"
+	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -86,53 +89,75 @@ func TestWorkersPositive(t *testing.T) {
 	}
 }
 
-// tally is a test Counter.
+// goid returns the current goroutine's id, parsed from the header line of
+// runtime.Stack ("goroutine N [running]:").
+func goid() uint64 {
+	var buf [64]byte
+	s := buf[:runtime.Stack(buf[:], false)]
+	s = bytes.TrimPrefix(s, []byte("goroutine "))
+	id, err := strconv.ParseUint(string(s[:bytes.IndexByte(s, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// tally counts where the tasks of one fork ran: on the calling goroutine
+// (inlined) or on a fresh one (spawned).
 type tally struct{ spawned, inlined int }
 
-func (c *tally) Spawned(n int) { c.spawned += n }
-func (c *tally) Inlined(n int) { c.inlined += n }
+// placed returns n tasks that record their placement relative to the
+// calling goroutine, and a function that reads the counts after the sync.
+func placed(n int) ([]func(), func() tally) {
+	caller := goid()
+	var spawned, inlined atomic.Int64
+	fns := make([]func(), n)
+	for i := range fns {
+		fns[i] = func() {
+			if goid() == caller {
+				inlined.Add(1)
+			} else {
+				spawned.Add(1)
+			}
+		}
+	}
+	return fns, func() tally {
+		return tally{int(spawned.Load()), int(inlined.Load())}
+	}
+}
 
 func TestDo2Counted(t *testing.T) {
-	var c tally
-	Do2Counted(false, &c, func() {}, func() {})
-	if c.spawned != 0 || c.inlined != 2 {
+	fns, read := placed(2)
+	Do2(false, fns[0], fns[1])
+	if c := read(); c.spawned != 0 || c.inlined != 2 {
 		t.Fatalf("serial Do2: %+v", c)
 	}
-	c = tally{}
-	Do2Counted(true, &c, func() {}, func() {})
-	if c.spawned != 1 || c.inlined != 1 {
+	fns, read = placed(2)
+	Do2(true, fns[0], fns[1])
+	if c := read(); c.spawned != 1 || c.inlined != 1 {
 		t.Fatalf("parallel Do2: %+v", c)
 	}
 }
 
 func TestDoAllCounted(t *testing.T) {
-	mk := func(n int) []func() {
-		fns := make([]func(), n)
-		for i := range fns {
-			fns[i] = func() {}
-		}
-		return fns
-	}
-	var c tally
-	DoAllCounted(true, &c, mk(5))
-	if c.spawned != 4 || c.inlined != 1 {
+	fns, read := placed(5)
+	DoAll(true, fns)
+	if c := read(); c.spawned != 4 || c.inlined != 1 {
 		t.Fatalf("parallel DoAll(5): %+v", c)
 	}
-	c = tally{}
-	DoAllCounted(false, &c, mk(5))
-	if c.spawned != 0 || c.inlined != 5 {
+	fns, read = placed(5)
+	DoAll(false, fns)
+	if c := read(); c.spawned != 0 || c.inlined != 5 {
 		t.Fatalf("serial DoAll(5): %+v", c)
 	}
-	c = tally{}
-	DoAllCounted(true, &c, mk(1))
-	if c.spawned != 0 || c.inlined != 1 {
+	fns, read = placed(1)
+	DoAll(true, fns)
+	if c := read(); c.spawned != 0 || c.inlined != 1 {
 		t.Fatalf("parallel DoAll(1) must inline: %+v", c)
 	}
-	c = tally{}
-	DoAllCounted(true, &c, nil)
-	if c.spawned != 0 || c.inlined != 0 {
-		t.Fatalf("empty DoAll must count nothing: %+v", c)
+	fns, read = placed(0)
+	DoAll(true, fns)
+	if c := read(); c.spawned != 0 || c.inlined != 0 {
+		t.Fatalf("empty DoAll must run nothing: %+v", c)
 	}
-	// nil counter must not panic.
-	DoAllCounted(true, nil, mk(3))
 }

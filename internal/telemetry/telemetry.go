@@ -132,8 +132,12 @@ func (s *Shard) begin(kind SpanKind, a0, a1, a2 int64) int {
 }
 
 // End closes the span opened by the begin call that returned idx. For base
-// spans it also accumulates the shard's busy time.
+// spans it also accumulates the shard's busy time. On a nil shard (telemetry
+// disabled) it does nothing.
 func (s *Shard) End(idx int) {
+	if s == nil {
+		return
+	}
 	// Pop the open stack down through idx; on the non-failing path the top
 	// is exactly idx and this is a single pop.
 	for n := len(s.open); n > 0 && s.open[n-1] >= idx; n-- {
@@ -204,8 +208,8 @@ func (s *Shard) Base(volume int64, interior bool, h int) int {
 	return s.begin(SpanBase, volume, in, int64(h))
 }
 
-// Spawned and Inlined implement sched.Counter: they count the scheduler's
-// decisions to run tasks on fresh goroutines vs. the current one.
+// Spawned and Inlined count the scheduler's decisions to run tasks on fresh
+// goroutines vs. the current one.
 func (s *Shard) Spawned(n int) { s.spawns += int64(n) }
 func (s *Shard) Inlined(n int) { s.inlines += int64(n) }
 
@@ -332,7 +336,7 @@ type Recorder struct {
 }
 
 // New creates an empty recorder. Pass it to the engine (via
-// pochoir.Options.Telemetry or core.Walker.Rec) to enable recording.
+// pochoir.Options.Telemetry or core.Observer.Rec) to enable recording.
 func New() *Recorder {
 	return &Recorder{epoch: time.Now()}
 }
@@ -391,8 +395,11 @@ func (r *Recorder) RunFinished() {
 // Supervisor records one supervisor decision event, stamping it with the
 // recorder's epoch clock. Unlike span recording it may be called while an
 // instrumented run executes on other goroutines: supervisor events live in
-// their own slice under the recorder lock.
+// their own slice under the recorder lock. A nil recorder drops the event.
 func (r *Recorder) Supervisor(ev SupEvent) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	ev.TS = r.now()
 	r.sup = append(r.sup, ev)

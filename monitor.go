@@ -53,22 +53,6 @@ func CheckMetricsExposition(data []byte) error {
 	return metrics.CheckExposition(data)
 }
 
-// runMetrics resolves (and caches) the walker instrument set for the
-// configured registry; nil when Options.Metrics is unset. The cache makes
-// re-arming free: resolving is a handful of map lookups under the registry
-// lock, paid once per stencil per registry rather than once per run.
-func (s *Stencil[T]) runMetrics() *metrics.RunMetrics {
-	reg := s.opts.Metrics
-	if reg == nil {
-		return nil
-	}
-	if s.metReg != reg {
-		s.metSet = metrics.NewRunMetrics(reg)
-		s.metReg = reg
-	}
-	return s.metSet
-}
-
 // progressLabel resolves the label for this stencil's progress entries:
 // Options.ProgressLabel when set, the caller's default otherwise.
 func (s *Stencil[T]) progressLabel(def string) string {

@@ -46,7 +46,6 @@ import (
 	"fmt"
 
 	"pochoir/internal/core"
-	"pochoir/internal/flight"
 	"pochoir/internal/grid"
 	"pochoir/internal/metrics"
 	"pochoir/internal/sched"
@@ -141,19 +140,12 @@ type Stencil[T any] struct {
 	opts      Options
 	stepsRun  int
 	lastStats *RunStats
-	// metSet is the walker instrument set resolved against metReg; both
-	// are managed by runMetrics (see monitor.go). activeProg, when
-	// non-nil, is a run-spanning progress estimator (set by RunSupervised
-	// around its segments) that per-segment runs feed instead of starting
-	// their own.
-	metReg     *MetricsRegistry
-	metSet     *metrics.RunMetrics
+	// activeProg, when non-nil, is a run-spanning progress estimator (set
+	// by RunSupervised around its segments) that per-segment runs feed
+	// instead of starting their own.
 	activeProg *metrics.Progress
-	// flightRec caches the stencil-private recorder a positive
-	// Options.FlightRing creates (see flightRecorder in postmortem.go);
 	// inSupervise suppresses per-attempt post-mortem bundles inside
 	// RunSupervised, which bundles once on the terminal error instead.
-	flightRec   *flight.Recorder
 	inSupervise bool
 	// poisoned latches after a failed or cancelled run: the arrays hold a
 	// partially updated state, so further runs are refused with
@@ -208,10 +200,6 @@ type Options struct {
 	// events, and any terminal failure automatically freezes the rings and
 	// writes a pochoir-postmortem/v1 bundle (see PostmortemBundle).
 	FlightRecorder *FlightRecorder
-	// FlightRing, when positive, sizes a stencil-private flight recorder
-	// (events per worker lane, rounded up to a power of two) used instead
-	// of the process-wide one. Ignored when FlightRecorder is set.
-	FlightRing int
 	// NoFlightRecorder disables black-box recording and automatic
 	// post-mortem bundles for this stencil only.
 	NoFlightRecorder bool
@@ -242,7 +230,6 @@ func NewWithOptions[T any](sh *Shape, opts Options) *Stencil[T] {
 // SetOptions replaces the execution options.
 func (s *Stencil[T]) SetOptions(opts Options) {
 	s.opts = opts
-	s.flightRec = nil // re-resolve a FlightRing-sized recorder next run
 }
 
 // Shape returns the stencil's shape.
@@ -317,8 +304,6 @@ func (s *Stencil[T]) newWalker() (*core.Walker, error) {
 		Serial:    s.opts.Serial,
 		Algorithm: s.opts.Algorithm,
 		Grain:     s.opts.Grain,
-		Rec:       s.opts.Telemetry,
-		Flight:    s.flightRecorder(),
 	}
 	for i := 0; i < d; i++ {
 		w.Slopes[i] = s.shape.Slope(i)
@@ -332,6 +317,37 @@ func (s *Stencil[T]) newWalker() (*core.Walker, error) {
 	w.TimeCutoff = timeCut
 	copy(w.SpaceCutoff[:], spaceCut)
 	return w, nil
+}
+
+// observer builds the walker's observer for one run from the options: the
+// telemetry recorder, the metrics registry's walker instruments, the
+// progress estimator prog, and the flight recorder. It is nil when no sink
+// is armed.
+func (s *Stencil[T]) observer(prog *metrics.Progress) *core.Observer {
+	o := &core.Observer{Rec: s.opts.Telemetry, Prog: prog, Flight: s.flightRecorder()}
+	if reg := s.opts.Metrics; reg != nil {
+		o.Met = metrics.NewRunMetrics(reg)
+	}
+	if o.Rec == nil && o.Met == nil && o.Prog == nil && o.Flight == nil {
+		return nil
+	}
+	return o
+}
+
+// supervisorSinks returns p with its unset Telemetry, Metrics and Flight
+// sinks defaulted from the options, so supervisor decisions land where the
+// walker's observer records.
+func (s *Stencil[T]) supervisorSinks(p SupervisePolicy) SupervisePolicy {
+	if p.Telemetry == nil {
+		p.Telemetry = s.opts.Telemetry
+	}
+	if p.Metrics == nil {
+		p.Metrics = s.opts.Metrics
+	}
+	if p.Flight == nil {
+		p.Flight = s.flightRecorder()
+	}
+	return p
 }
 
 // coarsening returns the effective (time, per-dim space) base-case cutoffs:
@@ -512,18 +528,16 @@ func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) e
 	t0 := depth + s.stepsRun
 	t1 := t0 + steps
 
-	// Arm the metrics instruments and the progress estimator. A supervised
-	// run spans many walker invocations, so RunSupervised pre-installs a
-	// run-wide estimator in activeProg; a plain Run owns its own, finished
-	// (success raises done to the predicted total) when the walk returns.
-	met := s.runMetrics()
-	w.Met = met
+	// Arm the progress estimator. A supervised run spans many walker
+	// invocations, so RunSupervised pre-installs a run-wide estimator in
+	// activeProg; a plain Run owns its own, finished (success raises done
+	// to the predicted total) when the walk returns.
 	prog := s.activeProg
-	ownProg := met != nil && prog == nil
+	ownProg := s.opts.Metrics != nil && prog == nil
 	if ownProg {
 		prog = s.opts.Metrics.StartProgress(s.progressLabel("run"), int64(steps)*s.gridVolume())
 	}
-	w.Prog = prog
+	w.Obs = s.observer(prog)
 
 	var pre RunStats
 	if s.opts.Telemetry != nil {
@@ -533,7 +547,7 @@ func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) e
 	if s.opts.Telemetry != nil {
 		st := s.opts.Telemetry.Snapshot().Delta(pre)
 		s.lastStats = &st
-		if met != nil {
+		if met := w.Obs.Met; met != nil {
 			// Bridge the aggregate run stats — only computable from the
 			// quiescent telemetry shards — into scrapeable gauges at the
 			// run/segment boundary.

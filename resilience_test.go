@@ -10,12 +10,14 @@ package pochoir_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pochoir"
+	"pochoir/internal/core"
 	"pochoir/internal/faultpoint"
 )
 
@@ -325,4 +327,54 @@ func TestSupervisedSoakEnvFaults(t *testing.T) {
 	t.Logf("soak: %d segments, %d retries, %d degradations, final engine %v",
 		len(rep.Segments), rep.Retries, rep.Degradations, rep.FinalEngine)
 	mustMatch(t, u, steps, want)
+}
+
+// TestSupervisedReportsConfiguredEngine: the first rung of the ladder runs
+// Options.Algorithm, and the report, the decision log, and the post-mortem
+// bundle must name that engine — not the default TRAP.
+func TestSupervisedReportsConfiguredEngine(t *testing.T) {
+	const X, Y, steps = 32, 32, 6
+	t.Setenv("POCHOIR_POSTMORTEM_DIR", t.TempDir())
+	for _, alg := range []core.Algorithm{core.STRAP, core.LOOPS} {
+		t.Run(alg.String(), func(t *testing.T) {
+			st, _, kern := heatStencil(t, pochoir.Options{Algorithm: alg}, X, Y, 3)
+			rep, err := st.RunSupervised(context.Background(), steps, kern,
+				pochoir.SupervisePolicy{SegmentSteps: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FinalEngine.String() != alg.String() {
+				t.Fatalf("FinalEngine = %v, want %v", rep.FinalEngine, alg)
+			}
+			for _, seg := range rep.Segments {
+				if seg.Engine.String() != alg.String() {
+					t.Fatalf("segment %d ran %v, report says %v", seg.Index, alg, seg.Engine)
+				}
+			}
+			for _, ev := range rep.Events {
+				if ev.Engine != "" && ev.Engine != alg.String() {
+					t.Fatalf("event %v names engine %q, want %q", ev.Kind, ev.Engine, alg)
+				}
+			}
+
+			// A run that gives up on its first attempt bundles the report.
+			st, _, _ = heatStencil(t, pochoir.Options{Algorithm: alg}, X, Y, 3)
+			boom := pochoir.K2(func(tt, x, y int) { panic("boom") })
+			if _, err := st.RunSupervised(context.Background(), steps, boom,
+				pochoir.SupervisePolicy{MaxAttempts: 1}); err == nil {
+				t.Fatal("panicking kernel completed")
+			}
+			inc := pochoir.LastIncident()
+			if inc == nil || inc.Bundle == nil {
+				t.Fatal("no post-mortem incident recorded")
+			}
+			var sup pochoir.RunReport
+			if err := json.Unmarshal(inc.Bundle.Supervisor, &sup); err != nil {
+				t.Fatal(err)
+			}
+			if len(sup.Segments) == 0 || sup.Segments[0].Engine.String() != alg.String() {
+				t.Fatalf("post-mortem report segments %+v, want engine %v", sup.Segments, alg)
+			}
+		})
+	}
 }

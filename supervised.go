@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strconv"
 
-	"pochoir/internal/core"
 	"pochoir/internal/resilience"
 	"pochoir/internal/telemetry"
 	"pochoir/internal/trace"
@@ -78,15 +77,7 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 	if len(s.arrays) == 0 {
 		return nil, fmt.Errorf("pochoir: no arrays registered")
 	}
-	if p.Telemetry == nil {
-		p.Telemetry = s.opts.Telemetry
-	}
-	if p.Metrics == nil {
-		p.Metrics = s.opts.Metrics
-	}
-	if p.Flight == nil {
-		p.Flight = s.flightRecorder()
-	}
+	p = s.supervisorSinks(p)
 	if reg := s.opts.Metrics; reg != nil {
 		// One progress estimator spans the whole supervised run: segments
 		// feed it through runWalker, retries of a restored segment re-add
@@ -102,7 +93,15 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 	}
 	// Resolve the policy defaults here, not just inside Supervise: the verify
 	// closure below reads the effective BoxSide/Every/Tolerance and Rand.
+	// EngineFull on the ladder stands for the configured algorithm, so the
+	// report and every event name the engine that actually ran.
 	p = p.WithDefaults()
+	p.Ladder = append([]SupervisorEngine(nil), p.Ladder...)
+	for i, eng := range p.Ladder {
+		if eng == EngineFull {
+			p.Ladder[i] = s.opts.Algorithm
+		}
+	}
 	if tr := s.opts.Trace; tr != nil {
 		// The supervised run gets its own span, and the supervisor's
 		// decision stream grows segment/attempt spans under it live — so a
@@ -198,21 +197,15 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 }
 
 // runSegment executes n time steps with the engine the supervisor selected.
-// EngineFull keeps the stencil's configured options; the lower rungs
-// override the decomposition — and for LOOPS also force serial execution,
-// so the last rung shares nothing with the failure modes above it.
+// A serial engine (LOOPS) also forces serial execution, so the last rung
+// shares nothing with the failure modes above it.
 func (s *Stencil[T]) runSegment(ctx context.Context, eng resilience.Engine, exec BaseFunc, n int) error {
 	w, err := s.newWalker()
 	if err != nil {
 		return err
 	}
-	switch eng {
-	case resilience.EngineSTRAP:
-		w.Algorithm = core.STRAP
-	case resilience.EngineLoops:
-		w.Algorithm = core.LOOPS
-		w.Serial = true
-	}
+	w.Algorithm = eng
+	w.Serial = w.Serial || eng.Serial()
 	w.Boundary = exec
 	w.Interior = exec
 	return s.runWalker(ctx, w, n)
