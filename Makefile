@@ -29,7 +29,7 @@ test:
 # detector.
 race:
 	$(GO) test -race ./internal/core ./internal/sched ./internal/telemetry ./internal/loops ./internal/faultpoint ./internal/resilience ./internal/metrics ./internal/flight ./internal/wire ./internal/compiler ./internal/gateway ./internal/trace ./internal/profile
-	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable' .
+	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable|SinksAgree' .
 
 # soak runs the supervised-run soak with probabilistic faults armed at the
 # walker's base and cut sites: every visit rolls the dice, and the

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -31,89 +30,38 @@ func runDurable() {
 	}
 	header(fmt.Sprintf("Durable checkpoints: spill overhead and crash resume on Heat 2p (%dx%d, %d steps)", X, Y, steps))
 
-	sh := pochoir.MustShape(2, [][]int{
-		{1, 0, 0}, {0, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 1},
-	})
-	const cx, cy = 0.125, 0.125
-	newHeat := func() (*pochoir.Stencil[float64], *pochoir.Array[float64]) {
-		st := pochoir.New[float64](sh)
-		u := pochoir.MustArray[float64](sh.Depth(), X, Y)
-		u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-		st.MustRegisterArray(u)
-		for x := 0; x < X; x++ {
-			for y := 0; y < Y; y++ {
-				u.Set(0, float64((x*37+y*23)%101)/101, x, y)
-			}
-		}
-		return st, u
-	}
-	heatKernel := func(u *pochoir.Array[float64]) pochoir.Kernel {
-		return pochoir.K2(func(t, x, y int) {
-			c := u.Get(t, x, y)
-			u.Set(t+1, c+
-				cx*(u.Get(t, x+1, y)-2*c+u.Get(t, x-1, y))+
-				cy*(u.Get(t, x, y+1)-2*c+u.Get(t, x, y-1)), x, y)
-		})
-	}
-	sum := func(u *pochoir.Array[float64]) float64 {
-		var s float64
-		for x := 0; x < X; x++ {
-			for y := 0; y < Y; y++ {
-				s += u.Get(steps, x, y)
-			}
-		}
-		return s
-	}
-	check := func(got, want float64) string {
-		if math.Abs(got-want) <= 1e-9*math.Abs(want) {
-			return "ok"
-		}
-		return "MISMATCH"
-	}
-	reps := 3
-	if *quick {
-		reps = 2
-	}
-	best := func(run func() time.Duration) time.Duration {
-		b := run()
-		for i := 1; i < reps; i++ {
-			if d := run(); d < b {
-				b = d
-			}
-		}
-		return b
-	}
+	rig := heatRig{X: X, Y: Y, Init: func(x, y int) float64 { return float64((x*37+y*23)%101) / 101 }}
 	segSteps := steps / 8
 
 	// Reference: plain Run, and the in-memory segmented baseline the spill
 	// overhead is judged against.
 	var refSum float64
 	tRun := best(func() time.Duration {
-		st, u := newHeat()
+		st, u := rig.stencil()
 		start := time.Now()
-		if err := st.Run(steps, heatKernel(u)); err != nil {
+		if err := st.Run(steps, rig.kernel(u, nil)); err != nil {
 			panic(err)
 		}
 		d := time.Since(start)
-		refSum = sum(u)
+		refSum = rig.sum(u, steps)
 		return d
 	})
 	fmt.Printf("plain Run:                       %s\n", seconds(tRun))
 
 	var segSum float64
 	tSeg := best(func() time.Duration {
-		st, u := newHeat()
+		st, u := rig.stencil()
 		start := time.Now()
-		if _, err := st.RunSupervised(context.Background(), steps, heatKernel(u),
+		if _, err := st.RunSupervised(context.Background(), steps, rig.kernel(u, nil),
 			pochoir.SupervisePolicy{SegmentSteps: segSteps}); err != nil {
 			panic(err)
 		}
 		d := time.Since(start)
-		segSum = sum(u)
+		segSum = rig.sum(u, steps)
 		return d
 	})
 	fmt.Printf("segmented, in-memory only:       %s  (%+.1f%% vs Run)  [%s]\n",
-		seconds(tSeg), 100*(tSeg.Seconds()/tRun.Seconds()-1), check(segSum, refSum))
+		seconds(tSeg), 100*(tSeg.Seconds()/tRun.Seconds()-1), agree(segSum, refSum))
 
 	// 1. Spill overhead: same segmentation, every checkpoint also persisted.
 	var spillSum float64
@@ -124,15 +72,15 @@ func runDurable() {
 			panic(err)
 		}
 		defer os.RemoveAll(dir)
-		st, u := newHeat()
+		st, u := rig.stencil()
 		start := time.Now()
-		rep, err := st.RunSupervised(context.Background(), steps, heatKernel(u),
+		rep, err := st.RunSupervised(context.Background(), steps, rig.kernel(u, nil),
 			pochoir.SupervisePolicy{SegmentSteps: segSteps, SpillDir: dir})
 		if err != nil {
 			panic(err)
 		}
 		d := time.Since(start)
-		spillSum, spillRep = sum(u), rep
+		spillSum, spillRep = rig.sum(u, steps), rep
 		return d
 	})
 	overhead := 100 * (tSpill.Seconds()/tSeg.Seconds() - 1)
@@ -141,7 +89,7 @@ func runDurable() {
 		verdict = "FAIL"
 	}
 	fmt.Printf("segmented + durable spill:       %s  (%+.1f%% vs in-memory; acceptance <=10%%: %s)  [%s]\n",
-		seconds(tSpill), overhead, verdict, check(spillSum, refSum))
+		seconds(tSpill), overhead, verdict, agree(spillSum, refSum))
 	fmt.Printf("  %d spills, %d bytes journaled (%.0f KiB per checkpoint)\n",
 		spillRep.Spills, spillRep.SpillBytes,
 		float64(spillRep.SpillBytes)/float64(spillRep.Spills)/1024)
@@ -155,15 +103,12 @@ func runDurable() {
 	}
 	defer os.RemoveAll(dir)
 	crashAt := steps * 6 / 10
-	st, u := newHeat()
-	broken := pochoir.K2(func(t, x, y int) {
+	st, u := rig.stencil()
+	broken := rig.kernel(u, func(t, x, y int, v float64) float64 {
 		if t >= crashAt && x == X/2 && y == Y/2 {
 			panic("injected persistent fault")
 		}
-		c := u.Get(t, x, y)
-		u.Set(t+1, c+
-			cx*(u.Get(t, x+1, y)-2*c+u.Get(t, x-1, y))+
-			cy*(u.Get(t, x, y+1)-2*c+u.Get(t, x, y-1)), x, y)
+		return v
 	})
 	_, err = st.RunSupervised(context.Background(), steps, broken,
 		pochoir.SupervisePolicy{
@@ -182,15 +127,15 @@ func runDurable() {
 	}
 	newest := entries[len(entries)-1]
 
-	st2, u2 := newHeat()
+	st2, u2 := rig.stencil()
 	start := time.Now()
-	rep2, err := st2.ResumeSupervised(context.Background(), steps, heatKernel(u2),
+	rep2, err := st2.ResumeSupervised(context.Background(), steps, rig.kernel(u2, nil),
 		pochoir.SupervisePolicy{SegmentSteps: segSteps, SpillDir: dir})
 	if err != nil {
 		panic(err)
 	}
 	tResume := time.Since(start)
 	fmt.Printf("crash at step %d, resume:         %s recomputing %d/%d steps from journal entry at step %d  [%s]\n",
-		crashAt, seconds(tResume), rep2.StepsDone, steps, newest.Steps, check(sum(u2), refSum))
+		crashAt, seconds(tResume), rep2.StepsDone, steps, newest.Steps, agree(rig.sum(u2, steps), refSum))
 	footer()
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
 	"pochoir"
@@ -25,53 +23,29 @@ func runFaults() {
 	}
 	header(fmt.Sprintf("Faults: failure model on Heat 2p (%dx%d, %d steps)", X, Y, steps))
 
-	sh := pochoir.MustShape(2, [][]int{
-		{1, 0, 0}, {0, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 1},
-	})
-	const cx, cy = 0.125, 0.125
-	newHeat := func() (*pochoir.Stencil[float64], *pochoir.Array[float64]) {
-		st := pochoir.New[float64](sh)
-		u := pochoir.MustArray[float64](sh.Depth(), X, Y)
-		u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-		st.MustRegisterArray(u)
-		rng := rand.New(rand.NewSource(7))
-		for x := 0; x < X; x++ {
-			for y := 0; y < Y; y++ {
-				u.Set(0, rng.Float64(), x, y)
-			}
-		}
-		return st, u
-	}
+	rig := heatRig{X: X, Y: Y, Seed: 7}
 	kernel := func(u *pochoir.Array[float64], poisonStep int) pochoir.Kernel {
-		return pochoir.K2(func(t, x, y int) {
+		return rig.kernel(u, func(t, x, y int, v float64) float64 {
 			if t == poisonStep && x == X/2 && y == Y/2 {
 				panic(fmt.Sprintf("injected kernel fault at t=%d", t))
 			}
-			c := u.Get(t, x, y)
-			u.Set(t+1, c+
-				cx*(u.Get(t, x+1, y)-2*c+u.Get(t, x-1, y))+
-				cy*(u.Get(t, x, y+1)-2*c+u.Get(t, x, y-1)), x, y)
+			return v
 		})
 	}
 
 	// Reference: an uninterrupted run.
-	ref, refU := newHeat()
+	ref, refU := rig.stencil()
 	if err := ref.Run(steps, kernel(refU, -1)); err != nil {
 		fmt.Printf("reference run failed: %v\n", err)
 		footer()
 		return
 	}
-	var refSum float64
-	for x := 0; x < X; x++ {
-		for y := 0; y < Y; y++ {
-			refSum += refU.Get(steps, x, y)
-		}
-	}
+	refSum := rig.sum(refU, steps)
 
 	// 1. Panic isolation: the fault fires mid-run on some worker goroutine;
 	// the first panic wins, siblings drain, and Run returns it with the
 	// zoid coordinates attached.
-	st, u := newHeat()
+	st, u := rig.stencil()
 	cp, _ := st.Checkpoint()
 	err := st.Run(steps, kernel(u, steps/2))
 	var kp *pochoir.KernelPanicError
@@ -96,22 +70,13 @@ func runFaults() {
 		footer()
 		return
 	}
-	var retrySum float64
-	for x := 0; x < X; x++ {
-		for y := 0; y < Y; y++ {
-			retrySum += u.Get(steps, x, y)
-		}
-	}
-	ok := "ok"
-	if math.Abs(retrySum-refSum) > 1e-9*math.Abs(refSum) {
-		ok = "MISMATCH"
-	}
+	retrySum := rig.sum(u, steps)
 	fmt.Printf("checkpoint/restore: retry total heat %.6f vs uninterrupted %.6f  [%s]\n",
-		retrySum, refSum, ok)
+		retrySum, refSum, agree(retrySum, refSum))
 
 	// 3. Cancellation: give a much longer run a short deadline and measure
 	// how far past the deadline RunContext returns.
-	st2, u2 := newHeat()
+	st2, u2 := rig.stencil()
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -40,28 +40,14 @@ func flightFail(format string, args ...any) {
 // default (always-on) flight recorder, with faultStep < 0 for a clean
 // kernel.
 func flightHeat(X, Y, faultStep int) (*pochoir.Stencil[float64], pochoir.Kernel) {
-	sh := pochoir.MustShape(2, [][]int{
-		{1, 0, 0}, {0, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 1},
-	})
-	heat := pochoir.NewWithOptions[float64](sh, pochoir.Options{})
-	u := pochoir.MustArray[float64](sh.Depth(), X, Y)
-	u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-	heat.MustRegisterArray(u)
-	for x := 0; x < X; x++ {
-		for y := 0; y < Y; y++ {
-			u.Set(0, float64((x*31+y*17)%97)/97, x, y)
-		}
-	}
-	kern := pochoir.K2(func(t, x, y int) {
+	rig := heatRig{X: X, Y: Y, Init: func(x, y int) float64 { return float64((x*31+y*17)%97) / 97 }}
+	heat, u := rig.stencil()
+	return heat, rig.kernel(u, func(t, x, y int, v float64) float64 {
 		if t == faultStep && x == X/2 && y == Y/2 {
 			panic("injected late-run fault")
 		}
-		c := u.Get(t, x, y)
-		u.Set(t+1, c+
-			0.125*(u.Get(t, x+1, y)-2*c+u.Get(t, x-1, y))+
-			0.125*(u.Get(t, x, y+1)-2*c+u.Get(t, x, y-1)), x, y)
+		return v
 	})
-	return heat, kern
 }
 
 func countKind(evs []pochoir.FlightEvent, k flight.Kind) int {

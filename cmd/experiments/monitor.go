@@ -42,28 +42,16 @@ func runMonitor() {
 	defer mon.Close()
 	fmt.Printf("monitor listening on %s (endpoints: /metrics /statusz /progressz /debug/pprof/ /debug/vars)\n", mon.URL())
 
-	sh := pochoir.MustShape(2, [][]int{
-		{1, 0, 0}, {0, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 1},
-	})
-	heat := pochoir.NewWithOptions[float64](sh, pochoir.Options{Metrics: reg})
-	u := pochoir.MustArray[float64](sh.Depth(), X, Y)
-	u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-	heat.MustRegisterArray(u)
-	for x := 0; x < X; x++ {
-		for y := 0; y < Y; y++ {
-			u.Set(0, float64((x*31+y*17)%97)/97, x, y)
-		}
-	}
+	rig := heatRig{X: X, Y: Y, Opts: pochoir.Options{Metrics: reg},
+		Init: func(x, y int) float64 { return float64((x*31+y*17)%97) / 97 }}
+	heat, u := rig.stencil()
 	crashed := false
-	kern := pochoir.K2(func(t, x, y int) {
+	kern := rig.kernel(u, func(t, x, y int, v float64) float64 {
 		if !crashed && t == steps/2 && x == X/2 && y == Y/2 {
 			crashed = true
 			panic("injected mid-run fault")
 		}
-		c := u.Get(t, x, y)
-		u.Set(t+1, c+
-			0.125*(u.Get(t, x+1, y)-2*c+u.Get(t, x-1, y))+
-			0.125*(u.Get(t, x, y+1)-2*c+u.Get(t, x, y-1)), x, y)
+		return v
 	})
 
 	// Sample /progressz over HTTP while the supervised run executes.

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"pochoir/internal/flight"
 	"pochoir/internal/grid"
-	"pochoir/internal/metrics"
 	"pochoir/internal/telemetry"
 	"pochoir/internal/wire"
 )
@@ -126,10 +124,11 @@ func checkpointFromWire[T any](w *wire.Checkpoint) (*Checkpoint[T], error) {
 // resume cursor, and each point update is a pure function of older slots,
 // the resumed run's final grid is bit-identical to an uninterrupted run's.
 //
-// The resume decision is observable everywhere the supervisor is: a
-// SupResume telemetry event (Err records why a cold start happened), the
-// pochoir_resume_total and pochoir_resume_corrupt_entries_total counters,
-// and an EvSup flight-recorder stamp.
+// The resume decision is the resumed run's first supervisor decision: a
+// SupResume event (Err records why a cold start happened) that heads the
+// RunReport's log and reaches every sink the options arm, counted in
+// pochoir_resume_total; skipped entries count in
+// pochoir_resume_corrupt_entries_total.
 func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern Kernel, p SupervisePolicy) (*RunReport, error) {
 	if p.SpillDir == "" {
 		return nil, fmt.Errorf("pochoir: ResumeSupervised needs SpillDir set")
@@ -140,15 +139,7 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	if len(s.arrays) == 0 {
 		return nil, fmt.Errorf("pochoir: no arrays registered")
 	}
-	// Resolve the observability sinks exactly as RunSupervised will, so the
-	// resume decision lands in the same places as the run it starts.
-	p = s.supervisorSinks(p)
-	sm := metrics.NewSupervisorMetrics(p.Metrics)
-	emit := func(ev telemetry.SupEvent) {
-		p.Telemetry.Supervisor(ev)
-		p.Flight.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
-	}
-
+	obs := s.supervisorObserver()
 	jour, err := wire.OpenJournal(p.SpillDir, p.SpillKeep)
 	if err != nil {
 		return nil, fmt.Errorf("pochoir: open spill journal: %w", err)
@@ -157,16 +148,15 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	if err != nil {
 		return nil, fmt.Errorf("pochoir: read spill journal: %w", err)
 	}
-	sm.ResumeCorrupt.Add(int64(skipped))
+	obs.Met.ResumeCorrupt.Add(int64(skipped))
 	if wcp == nil {
 		// Nothing durable to resume from: cold start.
 		reason := "journal empty (cold start)"
 		if skipped > 0 {
 			reason = fmt.Sprintf("all %d journal entries corrupt (cold start)", skipped)
 		}
-		sm.ResumeCold.Inc()
-		emit(telemetry.SupEvent{Kind: telemetry.SupResume, Err: reason})
-		return s.RunSupervised(ctx, totalSteps, kern, p)
+		return s.supervise(ctx, totalSteps, kern, p, obs,
+			&SupervisorEvent{Kind: telemetry.SupResume, Err: reason})
 	}
 	cp, err := checkpointFromWire[T](wcp)
 	if err != nil {
@@ -181,7 +171,6 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	if err := s.Restore(cp); err != nil {
 		return nil, fmt.Errorf("pochoir: restore durable checkpoint %s: %w", ent.Path, err)
 	}
-	sm.ResumeRestored.Inc()
-	emit(telemetry.SupEvent{Kind: telemetry.SupResume, Attempt: cp.stepsRun})
-	return s.RunSupervised(ctx, totalSteps-cp.stepsRun, kern, p)
+	return s.supervise(ctx, totalSteps-cp.stepsRun, kern, p, obs,
+		&SupervisorEvent{Kind: telemetry.SupResume, Attempt: cp.stepsRun})
 }

@@ -101,10 +101,9 @@ func TestResumeSupervisedContinuesInterruptedRun(t *testing.T) {
 
 	rec := pochoir.NewRecorder()
 	reg := pochoir.NewMetrics()
-	st, u, kern := heatStencil(t, pochoir.Options{}, X, Y, seed+1000) // fresh init: restore must overwrite it
+	st, u, kern := heatStencil(t, pochoir.Options{Telemetry: rec, Metrics: reg}, X, Y, seed+1000) // fresh init: restore must overwrite it
 	rep, err := st.ResumeSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
 		SegmentSteps: segSteps, SpillDir: dir, SpillKeep: 64,
-		Telemetry: rec, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +188,9 @@ func TestResumeSupervisedSkipsCorruptTail(t *testing.T) {
 
 			rec := pochoir.NewRecorder()
 			reg := pochoir.NewMetrics()
-			st, u, kern := heatStencil(t, pochoir.Options{}, X, Y, seed+1000)
+			st, u, kern := heatStencil(t, pochoir.Options{Telemetry: rec, Metrics: reg}, X, Y, seed+1000)
 			if _, err := st.ResumeSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
 				SegmentSteps: segSteps, SpillDir: dir, SpillKeep: 64,
-				Telemetry: rec, Metrics: reg,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -246,10 +244,9 @@ func TestResumeSupervisedColdStart(t *testing.T) {
 
 			rec := pochoir.NewRecorder()
 			reg := pochoir.NewMetrics()
-			st, u, kern := heatStencil(t, pochoir.Options{}, X, Y, seed)
+			st, u, kern := heatStencil(t, pochoir.Options{Telemetry: rec, Metrics: reg}, X, Y, seed)
 			if _, err := st.ResumeSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
 				SegmentSteps: segSteps, SpillDir: dir, SpillKeep: 64,
-				Telemetry: rec, Metrics: reg,
 			}); err != nil {
 				t.Fatal(err)
 			}

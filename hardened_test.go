@@ -2,10 +2,10 @@ package pochoir_test
 
 // Hardened-execution suite: panic isolation, context cancellation,
 // run-state poisoning, and checkpoint/restore, exercised across the full
-// regime matrix (TRAP/STRAP × serial/parallel) with the fault-injection
-// harness in internal/faultpoint. Run under -race (`make race`): panic
-// draining and the cancellation watcher are exactly the paths where a
-// data race would hide.
+// regime matrix (TRAP/STRAP × serial/parallel, plus LOOPS, which is always
+// serial) with the fault-injection harness in internal/faultpoint. Run
+// under -race (`make race`): panic draining and the cancellation watcher
+// are exactly the paths where a data race would hide.
 
 import (
 	"context"
@@ -29,6 +29,7 @@ var regimes = []struct {
 	{"TRAP-serial", pochoir.Options{Serial: true}},
 	{"STRAP-parallel", pochoir.Options{Algorithm: 1, Grain: 1}},
 	{"STRAP-serial", pochoir.Options{Algorithm: 1, Serial: true}},
+	{"LOOPS", pochoir.Options{Algorithm: 2}},
 }
 
 // heatStencil builds a periodic 2D heat stencil over an X×Y grid seeded

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pochoir/internal/engine"
 	"pochoir/internal/sched"
 	"pochoir/internal/telemetry"
 	"pochoir/internal/zoid"
@@ -41,7 +42,7 @@ func newTestWalker(sizes []int, serial bool, alg Algorithm, base BaseFunc) *Walk
 
 func TestRunConvertsKernelPanic(t *testing.T) {
 	for _, serial := range []bool{true, false} {
-		for _, alg := range []Algorithm{TRAP, STRAP} {
+		for _, alg := range engine.All() {
 			var calls atomic.Int64
 			w := newTestWalker([]int{40, 40}, serial, alg, func(z zoid.Zoid) {
 				if calls.Add(1) == 3 {

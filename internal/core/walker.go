@@ -251,7 +251,7 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 
 	defer func() {
 		if r := recover(); r != nil {
-			err = PanicToError(r)
+			err = panicToError(r)
 		}
 	}()
 
@@ -290,12 +290,11 @@ func (w *Walker) runLoops(z zoid.Zoid, sh *telemetry.Shard) {
 	}
 }
 
-// PanicToError converts a panic recovered at the top of a run into the
+// panicToError converts a panic recovered at the top of a run into the
 // error Run returns: *KernelPanicError survives scheduler wrapping, so a
 // kernel panic that crossed fork-join sync points still surfaces as one;
-// anything else becomes a *sched.PanicError. It is exported so other
-// engines (the LOOPS baseline driver) convert identically.
-func PanicToError(r any) error {
+// anything else becomes a *sched.PanicError.
+func panicToError(r any) error {
 	switch pe := r.(type) {
 	case *KernelPanicError:
 		return pe

@@ -4,23 +4,14 @@
 // parallelized, as the paper notes is sufficient in practice.
 //
 // The per-benchmark inner loops live with the stencils; this package
-// provides the shared driver. Run is the raw baseline used by the
-// benchmark comparisons; RunContext is the same driver under the hardened
-// execution contract — cooperative context cancellation checked once per
-// chunk, and kernel panics converted to *core.KernelPanicError with the
-// time step and slab attached — matching what the recursive engines
-// promise.
+// provides the shared driver, the raw baseline the benchmark comparisons
+// run. It has no cancellation or panic handling: the LOOPS engine a
+// stencil runs (Options.Algorithm LOOPS, the last rung of the supervisor's
+// degradation ladder) is core.Walker's own loop sweep, which gives each
+// swept zoid the recursive engines' hardened execution contract.
 package loops
 
-import (
-	"context"
-	"runtime/debug"
-	"sync/atomic"
-
-	"pochoir/internal/core"
-	"pochoir/internal/sched"
-	"pochoir/internal/zoid"
-)
+import "pochoir/internal/sched"
 
 // Run executes time steps t in [t0, t1). For each step the outermost
 // spatial dimension [0, size0) is split into chunks of at least grain
@@ -32,78 +23,4 @@ func Run(t0, t1 int, parallel bool, size0, grain int, step func(t, i0, i1 int)) 
 			step(t, i0, i1)
 		})
 	}
-}
-
-// RunContext is Run under the hardened execution contract. A watcher
-// goroutine latches an atomic flag when ctx fires and every chunk checks it
-// before running — one atomic load per slab, never inside the inner loops —
-// so a cancelled or deadlined run returns ctx.Err() within about one chunk
-// duration. A panicking step function is recovered and returned as a
-// *core.KernelPanicError whose zoid names the time step and the dimension-0
-// slab that was executing (panics that already crossed a sched sync point
-// keep their original attribution). Like the recursive engines, a failed or
-// cancelled run leaves the buffers partially updated; the caller owns any
-// rollback.
-func RunContext(ctx context.Context, t0, t1 int, parallel bool, size0, grain int, step func(t, i0, i1 int)) (err error) {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if t1 <= t0 {
-		return nil
-	}
-	var flag atomic.Bool
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		watcher := make(chan struct{})
-		go func() {
-			defer close(watcher)
-			select {
-			case <-done:
-				flag.Store(true)
-			case <-stop:
-			}
-		}()
-		defer func() {
-			close(stop)
-			<-watcher
-			if err == nil && flag.Load() {
-				err = ctx.Err()
-			}
-		}()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = core.PanicToError(r)
-		}
-	}()
-	for t := t0; t < t1; t++ {
-		// Between time steps the context is consulted directly — the serial
-		// loop would otherwise outrun the watcher goroutine; the watcher's
-		// flag remains the chunk-grained fast check inside a step.
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if flag.Load() {
-			return nil // the watcher defer reports ctx.Err()
-		}
-		tt := t
-		sched.For(parallel, 0, size0, grain, func(i0, i1 int) {
-			if flag.Load() {
-				return
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					switch r.(type) {
-					case *core.KernelPanicError, *sched.PanicError:
-						panic(r) // already located
-					}
-					z := zoid.Zoid{N: 1, T0: tt, T1: tt + 1}
-					z.Lo[0], z.Hi[0] = i0, i1
-					panic(&core.KernelPanicError{Value: r, Stack: debug.Stack(), Zoid: z})
-				}
-			}()
-			step(tt, i0, i1)
-		})
-	}
-	return nil
 }

@@ -1,12 +1,8 @@
 package loops
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"testing"
-
-	"pochoir/internal/core"
 )
 
 func TestRunCoversTimeSteps(t *testing.T) {
@@ -53,96 +49,5 @@ func TestRunEmpty(t *testing.T) {
 	Run(3, 3, true, 8, 1, func(tt, i0, i1 int) { called = true })
 	if called {
 		t.Fatal("no steps should run")
-	}
-}
-
-func TestRunContextMatchesRun(t *testing.T) {
-	ref := make([]int, 16)
-	Run(0, 4, false, 16, 4, func(tt, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			ref[i] += tt + 1
-		}
-	})
-	got := make([]int, 16)
-	if err := RunContext(context.Background(), 0, 4, false, 16, 4, func(tt, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			got[i] += tt + 1
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("index %d: got %d, want %d", i, got[i], ref[i])
-		}
-	}
-}
-
-func TestRunContextDeadOnArrival(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	called := false
-	err := RunContext(ctx, 0, 4, true, 16, 4, func(tt, i0, i1 int) { called = true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if called {
-		t.Fatal("step ran under a dead context")
-	}
-}
-
-func TestRunContextCancelsMidRun(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var steps atomic.Int32
-		err := RunContext(ctx, 0, 1000, parallel, 8, 8, func(tt, i0, i1 int) {
-			if steps.Add(1) == 3 {
-				cancel()
-			}
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel=%v: err = %v, want context.Canceled", parallel, err)
-		}
-		// Cancellation is checked once per chunk: the run must stop within
-		// a couple of time steps, nowhere near the full 1000.
-		if n := steps.Load(); n > 20 {
-			t.Fatalf("parallel=%v: %d chunks ran after cancel", parallel, n)
-		}
-	}
-}
-
-func TestRunContextWrapsKernelPanic(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		err := RunContext(context.Background(), 2, 6, parallel, 32, 8, func(tt, i0, i1 int) {
-			if tt == 4 && i0 <= 8 && 8 < i1 {
-				panic("loop kernel exploded")
-			}
-		})
-		var kp *core.KernelPanicError
-		if !errors.As(err, &kp) {
-			t.Fatalf("parallel=%v: err = %T %v, want *core.KernelPanicError", parallel, err, err)
-		}
-		if kp.Value != "loop kernel exploded" {
-			t.Fatalf("parallel=%v: Value = %v", parallel, kp.Value)
-		}
-		if kp.Zoid.T0 != 4 || kp.Zoid.T1 != 5 || kp.Zoid.Lo[0] > 8 || kp.Zoid.Hi[0] <= 8 {
-			t.Fatalf("parallel=%v: zoid = %+v, want t=[4,5) covering index 8", parallel, kp.Zoid)
-		}
-		if len(kp.Stack) == 0 {
-			t.Fatalf("parallel=%v: stack not captured", parallel)
-		}
-	}
-}
-
-func TestRunContextEmptyAndReversed(t *testing.T) {
-	if err := RunContext(context.Background(), 5, 5, true, 8, 1, func(tt, i0, i1 int) {
-		t.Fatal("step ran")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunContext(context.Background(), 9, 5, true, 8, 1, func(tt, i0, i1 int) {
-		t.Fatal("step ran")
-	}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -50,8 +50,8 @@ type Report struct {
 	// pointer the post-mortem bundle carries for a crashed run.
 	LastSpillPath string
 	LastSpillStep int
-	// Events is the ordered supervisor decision log, the same records
-	// emitted to Policy.Telemetry.
+	// Events is the ordered supervisor decision log, the same records the
+	// Observer hands to its sinks.
 	Events []telemetry.SupEvent
 	// Err is the terminal error of an unsuccessful run (also returned by
 	// Supervise).

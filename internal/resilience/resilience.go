@@ -21,11 +21,12 @@
 //
 // The supervisor is generic: it drives a Driver of closures (run a segment
 // with a given engine, checkpoint, restore, verify) supplied by
-// pochoir.Stencil.RunSupervised, and reports every decision twice — as
-// typed telemetry.SupEvent records through the run's Recorder, and in the
-// Report returned to the caller. Time is abstracted behind Clock so the
-// backoff and watchdog logic is testable with a fake clock and zero real
-// sleeps.
+// pochoir.Stencil.RunSupervised, and records every decision once, as a
+// typed telemetry.SupEvent handed to the run's Observer, which appends it
+// to the Report returned to the caller and fans it out to whichever sinks
+// are armed: telemetry recorder, live metrics, flight recorder, trace
+// spans. Time is abstracted behind Clock so the backoff and watchdog logic
+// is testable with a fake clock and zero real sleeps.
 package resilience
 
 import (
@@ -34,9 +35,6 @@ import (
 	"time"
 
 	"pochoir/internal/engine"
-	"pochoir/internal/flight"
-	"pochoir/internal/metrics"
-	"pochoir/internal/telemetry"
 )
 
 // Engine names a rung of the degradation ladder: a row of the engine
@@ -153,7 +151,8 @@ type Policy struct {
 	// SpillKeep bounds the journal's retained entries; <= 0 means 3.
 	SpillKeep int
 	// Ladder overrides the degradation ladder; empty means
-	// [EngineFull, EngineSTRAP, EngineLoops].
+	// [EngineFull, EngineSTRAP, EngineLoops], which a stencil narrows to
+	// the engine table from its Options.Algorithm's row down.
 	Ladder []Engine
 	// Verify configures shadow verification of completed segments.
 	Verify VerifyPolicy
@@ -162,24 +161,6 @@ type Policy struct {
 	// Rand overrides the jitter source with a func returning [0,1);
 	// nil means math/rand.
 	Rand func() float64
-	// Telemetry, when non-nil, receives every supervisor decision as a
-	// typed SupEvent (pochoir defaults it to the run's recorder).
-	Telemetry *telemetry.Recorder
-	// Metrics, when non-nil, also counts every decision in the live
-	// metrics registry (retries, degradations, watchdog trips, verify
-	// outcomes, ...), so a monitor sees a supervised run's health mid-run.
-	Metrics *metrics.Registry
-	// Flight, when non-nil, stamps every decision into the black-box flight
-	// recorder, so a post-mortem bundle interleaves supervisor decisions
-	// with the engine events around them (pochoir defaults it to the
-	// process-wide recorder).
-	Flight *flight.Recorder
-	// OnEvent, when non-nil, receives every supervisor decision
-	// synchronously from the supervising goroutine, after its report
-	// timestamp is stamped. The causal tracer hangs off this hook
-	// (trace.SupervisorSpans) to grow the run's span tree live; any other
-	// observer may too. It must not block.
-	OnEvent func(telemetry.SupEvent)
 }
 
 // WithDefaults returns p with every unset knob replaced by its default.

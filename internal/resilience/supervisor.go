@@ -7,8 +7,6 @@ import (
 	"runtime/pprof"
 
 	"pochoir/internal/engine"
-	"pochoir/internal/flight"
-	"pochoir/internal/metrics"
 	"pochoir/internal/profile"
 	"pochoir/internal/telemetry"
 )
@@ -57,6 +55,11 @@ type Driver struct {
 	// just-completed segment; a non-nil return (typically a *VerifyError)
 	// is treated as a segment failure.
 	Verify func(ctx context.Context, segment, fromStep, steps int) error
+	// Obs, when non-nil, receives every decision alongside the Report.
+	Obs *Observer
+	// Resume, when non-nil, is the cross-process resume decision this run
+	// continues from (a SupResume event); it is recorded first.
+	Resume *telemetry.SupEvent
 }
 
 // Supervise runs d.Steps time steps under policy p: segment by segment,
@@ -84,23 +87,15 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 	}
 	rung := 0
 	rep := &Report{Steps: d.Steps, FinalEngine: p.Ladder[0]}
-	sm := metrics.NewSupervisorMetrics(p.Metrics)
-	start := p.Clock.Now()
-	emit := func(ev telemetry.SupEvent) {
-		p.Telemetry.Supervisor(ev) // the recorder stamps its copy itself
-		p.Flight.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
-		ev.TS = p.Clock.Now().Sub(start).Nanoseconds()
-		rep.Events = append(rep.Events, ev)
-		if p.OnEvent != nil {
-			p.OnEvent(ev)
-		}
+	o := d.Obs.bind(rep, p.Clock)
+	if d.Resume != nil {
+		o.record(*d.Resume)
 	}
 	fail := func(seg SegmentReport, err error) (*Report, error) {
-		sm.GiveUps.Inc()
 		rep.Segments = append(rep.Segments, seg)
 		rep.FinalEngine = p.Ladder[rung]
 		rep.Err = err
-		emit(telemetry.SupEvent{Kind: telemetry.SupGiveUp, Segment: seg.Index,
+		o.record(telemetry.SupEvent{Kind: telemetry.SupGiveUp, Segment: seg.Index,
 			Attempt: seg.Attempts, Engine: p.Ladder[rung].String(), Err: err.Error()})
 		return rep, err
 	}
@@ -111,7 +106,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 			steps = d.Steps - from
 		}
 		seg := SegmentReport{Index: len(rep.Segments), FromStep: from, Steps: steps, Engine: p.Ladder[rung]}
-		emit(telemetry.SupEvent{Kind: telemetry.SupSegmentStart, Segment: seg.Index,
+		o.record(telemetry.SupEvent{Kind: telemetry.SupSegmentStart, Segment: seg.Index,
 			Engine: p.Ladder[rung].String()})
 
 		if !p.NoCheckpoint {
@@ -124,9 +119,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 			if cperr != nil {
 				return fail(seg, fmt.Errorf("resilience: checkpoint before segment %d: %w", seg.Index, cperr))
 			}
-			rep.Checkpoints++
-			sm.Checkpoints.Inc()
-			emit(telemetry.SupEvent{Kind: telemetry.SupCheckpoint, Segment: seg.Index})
+			o.record(telemetry.SupEvent{Kind: telemetry.SupCheckpoint, Segment: seg.Index})
 
 			if d.Spill != nil {
 				spillStart := p.Clock.Now()
@@ -139,19 +132,15 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				spillNS := p.Clock.Now().Sub(spillStart).Nanoseconds()
 				if serr != nil {
 					// Durability degraded, run intact: record and move on.
-					rep.SpillErrors++
-					sm.SpillErrors.Inc()
-					emit(telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index,
+					o.record(telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index,
 						Err: serr.Error()})
 				} else {
-					rep.Spills++
 					rep.SpillBytes += bytes
 					rep.LastSpillPath = path
 					rep.LastSpillStep = from
-					sm.Spills.Inc()
-					sm.SpillBytes.Add(bytes)
-					sm.SpillNS.Add(spillNS)
-					emit(telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index})
+					o.Met.SpillBytes.Add(bytes)
+					o.Met.SpillNS.Add(spillNS)
+					o.record(telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index})
 				}
 			}
 		}
@@ -162,7 +151,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 			rep.Attempts++
 			if attempt > 1 {
 				rep.Retries++
-				sm.Retries.Inc()
+				o.Met.Retries.Inc()
 			}
 			seg.Attempts = attempt
 			eng := p.Ladder[rung]
@@ -191,17 +180,13 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 					verr = d.Verify(vc, seg.Index, from, steps)
 				})
 				if verr != nil {
-					rep.VerifyMismatches++
-					sm.VerifyMismatch.Inc()
 					seg.VerifyMismatch = true
-					emit(telemetry.SupEvent{Kind: telemetry.SupVerifyMismatch, Segment: seg.Index,
+					o.record(telemetry.SupEvent{Kind: telemetry.SupVerifyMismatch, Segment: seg.Index,
 						Attempt: attempt, Engine: eng.String(), Err: verr.Error()})
 					err = verr
 				} else {
-					rep.Verified++
-					sm.VerifyOK.Inc()
 					seg.Verified = true
-					emit(telemetry.SupEvent{Kind: telemetry.SupVerifyOK, Segment: seg.Index,
+					o.record(telemetry.SupEvent{Kind: telemetry.SupVerifyOK, Segment: seg.Index,
 						Attempt: attempt, Engine: eng.String()})
 				}
 			}
@@ -212,14 +197,13 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 			}
 			segErr = err
 			failures++
-			sm.SegmentsFailed.Inc()
 			// A deadline error with the parent still live means the
 			// per-attempt watchdog fired, not an outside cancellation.
 			if p.SegmentTimeout > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				sm.WatchdogTrips.Inc()
+				o.Met.WatchdogTrips.Inc()
 			}
 			seg.Failures = append(seg.Failures, err.Error())
-			emit(telemetry.SupEvent{Kind: telemetry.SupSegmentFail, Segment: seg.Index,
+			o.record(telemetry.SupEvent{Kind: telemetry.SupSegmentFail, Segment: seg.Index,
 				Attempt: attempt, Engine: eng.String(), Err: err.Error()})
 
 			if ctx.Err() != nil {
@@ -243,23 +227,17 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				segErr = fmt.Errorf("resilience: restore for segment %d retry: %w", seg.Index, rerr)
 				break
 			}
-			rep.Restores++
-			sm.Restores.Inc()
-			emit(telemetry.SupEvent{Kind: telemetry.SupRestore, Segment: seg.Index, Attempt: attempt})
+			o.record(telemetry.SupEvent{Kind: telemetry.SupRestore, Segment: seg.Index, Attempt: attempt})
 
 			if failures%p.DegradeAfter == 0 && rung < len(p.Ladder)-1 {
 				rung++
-				rep.Degradations++
-				sm.Degradations.Inc()
-				emit(telemetry.SupEvent{Kind: telemetry.SupDegrade, Segment: seg.Index,
+				o.record(telemetry.SupEvent{Kind: telemetry.SupDegrade, Segment: seg.Index,
 					Attempt: attempt, Engine: p.Ladder[rung].String()})
 			}
 
 			delay := p.backoffDelay(failures)
-			rep.BackoffTotal += delay
-			sm.BackoffNS.Add(delay.Nanoseconds())
 			seg.Backoff += delay
-			emit(telemetry.SupEvent{Kind: telemetry.SupBackoff, Segment: seg.Index,
+			o.record(telemetry.SupEvent{Kind: telemetry.SupBackoff, Segment: seg.Index,
 				Attempt: attempt, Delay: delay})
 			if serr := p.Clock.Sleep(ctx, delay); serr != nil {
 				break // parent cancelled mid-backoff; segErr keeps the run error
@@ -272,8 +250,7 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 		rep.FinalEngine = p.Ladder[rung]
 		rep.Segments = append(rep.Segments, seg)
 		rep.StepsDone = from + steps
-		sm.SegmentsDone.Inc()
-		emit(telemetry.SupEvent{Kind: telemetry.SupSegmentDone, Segment: seg.Index,
+		o.record(telemetry.SupEvent{Kind: telemetry.SupSegmentDone, Segment: seg.Index,
 			Attempt: seg.Attempts, Engine: seg.Engine.String()})
 		from += steps
 	}

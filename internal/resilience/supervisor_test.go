@@ -122,7 +122,7 @@ func TestSuperviseRetryBackoffAndDegrade(t *testing.T) {
 	p.MaxAttempts = 4
 	p.DegradeAfter = 2
 	rec := telemetry.New()
-	p.Telemetry = rec
+	d.Obs = &Observer{Rec: rec}
 	rep, err := Supervise(context.Background(), d, p)
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,12 @@ import (
 	"pochoir/internal/telemetry"
 )
 
-// SupervisorSpans adapts the supervisor's decision stream (emitted through
-// resilience.Policy.OnEvent) into live spans on a trace: one span per time
+// SupervisorSpans adapts the supervisor's decision stream (the Spans sink of
+// resilience.Observer) into live spans on a trace: one span per time
 // segment, one child span per attempt, and zero-duration markers for
 // checkpoints, spills, restores, degradations, backoffs, and shadow
-// verification — each failure carrying its cause as an attribute. The
+// verification — each failure carrying its cause as an attribute — plus a
+// resume marker under parent when the run continues a spill journal. The
 // returned callback is driven synchronously from the supervising goroutine,
 // so it needs no locking of its own.
 //

@@ -140,13 +140,6 @@ type Stencil[T any] struct {
 	opts      Options
 	stepsRun  int
 	lastStats *RunStats
-	// activeProg, when non-nil, is a run-spanning progress estimator (set
-	// by RunSupervised around its segments) that per-segment runs feed
-	// instead of starting their own.
-	activeProg *metrics.Progress
-	// inSupervise suppresses per-attempt post-mortem bundles inside
-	// RunSupervised, which bundles once on the terminal error instead.
-	inSupervise bool
 	// poisoned latches after a failed or cancelled run: the arrays hold a
 	// partially updated state, so further runs are refused with
 	// ErrPoisoned until Reset or Restore re-establishes consistency.
@@ -334,22 +327,6 @@ func (s *Stencil[T]) observer(prog *metrics.Progress) *core.Observer {
 	return o
 }
 
-// supervisorSinks returns p with its unset Telemetry, Metrics and Flight
-// sinks defaulted from the options, so supervisor decisions land where the
-// walker's observer records.
-func (s *Stencil[T]) supervisorSinks(p SupervisePolicy) SupervisePolicy {
-	if p.Telemetry == nil {
-		p.Telemetry = s.opts.Telemetry
-	}
-	if p.Metrics == nil {
-		p.Metrics = s.opts.Metrics
-	}
-	if p.Flight == nil {
-		p.Flight = s.flightRecorder()
-	}
-	return p
-}
-
 // coarsening returns the effective (time, per-dim space) base-case cutoffs:
 // the user's overrides when set, otherwise the paper's §4 heuristic.
 func (s *Stencil[T]) coarsening() (timeCut int, spaceCut []int) {
@@ -425,7 +402,7 @@ func (s *Stencil[T]) RunContext(ctx context.Context, steps int, kern Kernel) err
 	// through checked accessors, so it is safe to use for interior zoids
 	// too; a specialized interior clone is what Phase 2 adds.
 	w.Interior = exec
-	return s.runWalker(ctx, w, steps)
+	return s.run(ctx, w, steps)
 }
 
 // RunChecked is Run with the Pochoir Guarantee enforced: every access the
@@ -456,7 +433,7 @@ func (s *Stencil[T]) RunCheckedContext(ctx context.Context, steps int, kern Kern
 	exec := s.checkedPointExecutor(kern)
 	w.Boundary = exec
 	w.Interior = exec
-	if err := s.runWalker(ctx, w, steps); err != nil {
+	if err := s.run(ctx, w, steps); err != nil {
 		return err
 	}
 	for _, a := range s.arrays {
@@ -503,51 +480,64 @@ func (s *Stencil[T]) RunSpecializedContext(ctx context.Context, steps int, b Bas
 	}
 	w.Interior = b.Interior
 	w.Boundary = b.Boundary
-	return s.runWalker(ctx, w, steps)
+	return s.run(ctx, w, steps)
 }
 
-// cursor tracks how many steps have been run so resumed Runs continue
-// where the previous call stopped. A run that fails — kernel panic,
-// engine panic, cancellation, deadline — poisons the stencil: the arrays
-// are partially updated, so further runs are refused until Reset or
-// Restore. Telemetry stays consistent either way: a failed run still
-// closes its spans and publishes its (partial) stats to LastRunStats.
-func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) error {
+// runnable refuses a run that must not touch the arrays: a poisoned
+// stencil, a negative step count, or a context dead on arrival (which does
+// not poison, since nothing was touched).
+func (s *Stencil[T]) runnable(ctx context.Context, steps int) error {
 	if s.poisoned {
 		return ErrPoisoned
 	}
 	if steps < 0 {
 		return fmt.Errorf("pochoir: negative step count %d", steps)
 	}
-	// A context that is dead on arrival has not touched the arrays, so it
-	// does not poison.
-	if err := ctx.Err(); err != nil {
+	return ctx.Err()
+}
+
+// run executes steps time steps on w as one top-level run: it owns its
+// progress estimator (finished, success raising done to the predicted
+// total, when the walk returns), and its failure is terminal, freezing the
+// black box and writing the post-mortem bundle.
+func (s *Stencil[T]) run(ctx context.Context, w *core.Walker, steps int) error {
+	if err := s.runnable(ctx, steps); err != nil {
 		return err
 	}
-	depth := s.shape.Depth()
-	t0 := depth + s.stepsRun
-	t1 := t0 + steps
-
-	// Arm the progress estimator. A supervised run spans many walker
-	// invocations, so RunSupervised pre-installs a run-wide estimator in
-	// activeProg; a plain Run owns its own, finished (success raises done
-	// to the predicted total) when the walk returns.
-	prog := s.activeProg
-	ownProg := s.opts.Metrics != nil && prog == nil
-	if ownProg {
-		prog = s.opts.Metrics.StartProgress(s.progressLabel("run"), int64(steps)*s.gridVolume())
+	var prog *metrics.Progress
+	if reg := s.opts.Metrics; reg != nil {
+		prog = reg.StartProgress(s.progressLabel("run"), int64(steps)*s.gridVolume())
 	}
-	w.Obs = s.observer(prog)
+	err := s.runWalker(ctx, w, s.observer(prog), steps)
+	if prog != nil {
+		prog.Finish(err == nil)
+	}
+	if err != nil {
+		s.writePostmortem(err, nil)
+	}
+	return err
+}
 
+// runWalker walks steps time steps from the resume cursor under the
+// caller's observer obs, after the caller has checked runnable. A run that
+// fails — kernel panic, engine panic, cancellation, deadline — poisons the
+// stencil: the arrays are partially updated, so further runs are refused
+// until Reset or Restore. Whether the failure is terminal is the caller's
+// call: a plain run bundles it, the supervisor retries it. Telemetry stays
+// consistent either way: a failed run still closes its spans and publishes
+// its (partial) stats to LastRunStats.
+func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, obs *core.Observer, steps int) error {
+	t0 := s.shape.Depth() + s.stepsRun
+	w.Obs = obs
 	var pre RunStats
 	if s.opts.Telemetry != nil {
 		pre = s.opts.Telemetry.Snapshot()
 	}
-	err := w.RunContext(ctx, t0, t1)
+	err := w.RunContext(ctx, t0, t0+steps)
 	if s.opts.Telemetry != nil {
 		st := s.opts.Telemetry.Snapshot().Delta(pre)
 		s.lastStats = &st
-		if met := w.Obs.Met; met != nil {
+		if met := obs.Met; met != nil {
 			// Bridge the aggregate run stats — only computable from the
 			// quiescent telemetry shards — into scrapeable gauges at the
 			// run/segment boundary.
@@ -556,18 +546,8 @@ func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) e
 			met.LastWorkers.Set(float64(st.Workers))
 		}
 	}
-	if ownProg {
-		prog.Finish(err == nil)
-	}
 	if err != nil {
 		s.poisoned = true
-		// Terminal for an unsupervised run: freeze the black box and write
-		// the post-mortem bundle. Under RunSupervised a failed segment is
-		// not terminal — the supervisor retries — so bundling waits for the
-		// supervisor's own give-up.
-		if !s.inSupervise {
-			s.writePostmortem(err, nil)
-		}
 		return err
 	}
 	s.stepsRun += steps

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"pochoir"
 	"pochoir/internal/core"
 	"pochoir/internal/faultpoint"
+	"pochoir/internal/telemetry"
 )
 
 // unfaultedHeat2D computes the bit-exact expected grid with a plain Run on
@@ -179,14 +181,13 @@ func TestRunSupervisedDegradesToLoops(t *testing.T) {
 	want := unfaultedHeat2D(t, opts, X, Y, steps, seed)
 
 	rec := pochoir.NewRecorder()
-	st, u, kern := heatStencil(t, opts, X, Y, seed)
+	st, u, kern := heatStencil(t, pochoir.Options{Grain: 1, Telemetry: rec}, X, Y, seed)
 	faultpoint.Arm(faultpoint.SiteCut,
 		faultpoint.Spec{Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth})
 	rep, err := st.RunSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
 		MaxAttempts:  6,
 		DegradeAfter: 2,
 		BaseDelay:    time.Microsecond,
-		Telemetry:    rec,
 	})
 	faultpoint.DisarmAll()
 	if err != nil {
@@ -374,6 +375,50 @@ func TestSupervisedReportsConfiguredEngine(t *testing.T) {
 			}
 			if len(sup.Segments) == 0 || sup.Segments[0].Engine.String() != alg.String() {
 				t.Fatalf("post-mortem report segments %+v, want engine %v", sup.Segments, alg)
+			}
+		})
+	}
+}
+
+// TestSupervisedLadderStartsAtConfiguredEngine: with no explicit ladder, a
+// stencil degrades down the engine table from Options.Algorithm's row, so a
+// STRAP run never retries STRAP as a "degradation" and a LOOPS run never
+// climbs up to a recursive engine. An explicit EngineFull rung still stands
+// for the configured algorithm.
+func TestSupervisedLadderStartsAtConfiguredEngine(t *testing.T) {
+	const X, Y, steps = 24, 24, 4
+	t.Setenv("POCHOIR_POSTMORTEM_DIR", t.TempDir())
+	for _, tc := range []struct {
+		name         string
+		alg          core.Algorithm
+		ladder       []pochoir.SupervisorEngine
+		attempts     string
+		degradations int
+	}{
+		{"TRAP", core.TRAP, nil, "TRAP TRAP STRAP STRAP LOOPS LOOPS", 2},
+		{"STRAP", core.STRAP, nil, "STRAP STRAP LOOPS LOOPS LOOPS LOOPS", 1},
+		{"LOOPS", core.LOOPS, nil, "LOOPS LOOPS LOOPS LOOPS LOOPS LOOPS", 0},
+		{"LOOPS-explicit-full", core.LOOPS, []pochoir.SupervisorEngine{pochoir.EngineFull, pochoir.EngineSTRAP},
+			"LOOPS LOOPS STRAP STRAP STRAP STRAP", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, _, _ := heatStencil(t, pochoir.Options{Algorithm: tc.alg}, X, Y, 3)
+			boom := pochoir.K2(func(tt, x, y int) { panic("boom") })
+			rep, err := st.RunSupervised(context.Background(), steps, boom, pochoir.SupervisePolicy{
+				MaxAttempts: 6, DegradeAfter: 2, BaseDelay: time.Microsecond, Ladder: tc.ladder,
+			})
+			if err == nil {
+				t.Fatal("panicking kernel completed")
+			}
+			var ran []string
+			for _, ev := range rep.Events {
+				if ev.Kind == telemetry.SupSegmentFail {
+					ran = append(ran, ev.Engine)
+				}
+			}
+			if got := strings.Join(ran, " "); got != tc.attempts || rep.Degradations != tc.degradations {
+				t.Fatalf("attempts ran on [%s] with %d degradations, want [%s] with %d",
+					got, rep.Degradations, tc.attempts, tc.degradations)
 			}
 		})
 	}

@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"strconv"
 
+	"pochoir/internal/core"
+	"pochoir/internal/engine"
+	"pochoir/internal/metrics"
 	"pochoir/internal/resilience"
 	"pochoir/internal/telemetry"
 	"pochoir/internal/trace"
@@ -58,43 +61,63 @@ const (
 // checkpoint before each; a segment that fails — kernel panic, engine
 // panic, injected fault, cancellation, or watchdog deadline — is restored
 // from its checkpoint and retried under jittered exponential backoff, and
-// repeated failures walk the engine degradation ladder (TRAP → STRAP →
-// serial checked loops). With p.Verify.Enabled, a sampled sub-box of each
+// repeated failures walk the engine degradation ladder, by default the
+// engine table from Options.Algorithm's row down (TRAP → STRAP → serial
+// checked loops). With p.Verify.Enabled, a sampled sub-box of each
 // completed segment is re-executed from the segment's checkpoint with the
 // generic checked executor and compared within the tolerance; a mismatch is
 // treated as a segment failure.
 //
 // The returned RunReport is non-nil in all cases and records every
-// supervisor decision; the same events flow to p.Telemetry (defaulted to
-// Options.Telemetry). On success the stencil has advanced by steps, exactly
-// as after Run. On failure the error is also recorded in the report and the
+// supervisor decision; the same events flow to the sinks the options arm:
+// Options.Telemetry, Options.Metrics, the flight recorder and
+// Options.Trace. On success the stencil has advanced by steps, exactly as
+// after Run. On failure the error is also recorded in the report and the
 // stencil is left poisoned at the failed segment's start (restored state),
 // except with p.NoCheckpoint where the torn state stays.
-func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, p SupervisePolicy) (rep *RunReport, err error) {
+func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, p SupervisePolicy) (*RunReport, error) {
+	return s.supervise(ctx, steps, kern, p, s.supervisorObserver(), nil)
+}
+
+// supervisorObserver builds the supervisor's observer for one supervised
+// run from the options the walker's observer reads, so supervisor decisions
+// land where the walker's events do.
+func (s *Stencil[T]) supervisorObserver() *resilience.Observer {
+	return &resilience.Observer{
+		Rec:    s.opts.Telemetry,
+		Met:    metrics.NewSupervisorMetrics(s.opts.Metrics),
+		Flight: s.flightRecorder(),
+	}
+}
+
+// supervise is RunSupervised recording into obs, with resume, when
+// non-nil, as the run's first decision.
+func (s *Stencil[T]) supervise(ctx context.Context, steps int, kern Kernel, p SupervisePolicy, obs *resilience.Observer, resume *SupervisorEvent) (rep *RunReport, err error) {
 	if steps < 0 {
 		return nil, fmt.Errorf("pochoir: negative step count %d", steps)
 	}
 	if len(s.arrays) == 0 {
 		return nil, fmt.Errorf("pochoir: no arrays registered")
 	}
-	p = s.supervisorSinks(p)
+	// One walker observer spans the whole run, and so does its progress
+	// estimator: retries of a restored segment re-add their points (the
+	// counter is cumulative, so the published percent stays monotone), and
+	// shadow verification bypasses the walker entirely so verification work
+	// never inflates it.
+	var prog *metrics.Progress
 	if reg := s.opts.Metrics; reg != nil {
-		// One progress estimator spans the whole supervised run: segments
-		// feed it through runWalker, retries of a restored segment re-add
-		// their points (the counter is cumulative, so the published percent
-		// stays monotone), and shadow verification bypasses the walker
-		// entirely so verification work never inflates it.
-		prog := reg.StartProgress(s.progressLabel("supervised"), int64(steps)*s.gridVolume())
-		s.activeProg = prog
-		defer func() {
-			s.activeProg = nil
-			prog.Finish(err == nil)
-		}()
+		prog = reg.StartProgress(s.progressLabel("supervised"), int64(steps)*s.gridVolume())
+		defer func() { prog.Finish(err == nil) }()
 	}
-	// Resolve the policy defaults here, not just inside Supervise: the verify
-	// closure below reads the effective BoxSide/Every/Tolerance and Rand.
-	// EngineFull on the ladder stands for the configured algorithm, so the
-	// report and every event name the engine that actually ran.
+	wobs := s.observer(prog)
+	// The default ladder is the engine table from the configured engine's
+	// row down. Resolve the policy defaults here, not just inside Supervise:
+	// the verify closure below reads the effective BoxSide/Every/Tolerance
+	// and Rand. EngineFull on an explicit ladder stands for the configured
+	// algorithm, so the report and every event name the engine that ran.
+	if len(p.Ladder) == 0 && s.opts.Algorithm.Valid() {
+		p.Ladder = engine.All()[s.opts.Algorithm:]
+	}
 	p = p.WithDefaults()
 	p.Ladder = append([]SupervisorEngine(nil), p.Ladder...)
 	for i, eng := range p.Ladder {
@@ -106,19 +129,11 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 		// The supervised run gets its own span, and the supervisor's
 		// decision stream grows segment/attempt spans under it live — so a
 		// post-mortem snapshot of a run that dies mid-segment still shows
-		// the attempt it died in. Chain rather than replace any caller
-		// OnEvent.
+		// the attempt it died in.
 		runSpan := tr.StartSpan("supervised-run", s.opts.TraceParent,
 			trace.Attr{Key: "steps", Value: strconv.Itoa(steps)},
 			trace.Attr{Key: "algorithm", Value: s.opts.Algorithm.String()})
-		spanSink := trace.SupervisorSpans(tr, runSpan)
-		prevSink := p.OnEvent
-		p.OnEvent = func(ev telemetry.SupEvent) {
-			spanSink(ev)
-			if prevSink != nil {
-				prevSink(ev)
-			}
-		}
+		obs.Spans = trace.SupervisorSpans(tr, runSpan)
 		defer func() {
 			status := trace.StatusOK
 			switch {
@@ -142,7 +157,7 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 	d := resilience.Driver{
 		Steps: steps,
 		Run: func(ctx context.Context, eng resilience.Engine, fromStep, n int) error {
-			return s.runSegment(ctx, eng, exec, n)
+			return s.runSegment(ctx, eng, exec, wobs, n)
 		},
 		Checkpoint: func() error {
 			cp, err := s.Checkpoint()
@@ -153,6 +168,8 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 			return nil
 		},
 		Restore: func() error { return s.Restore(cpStart) },
+		Obs:     obs,
+		Resume:  resume,
 	}
 	if p.SpillDir != "" {
 		// Durable spilling: every segment checkpoint also goes to the
@@ -183,12 +200,10 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 			return s.shadowVerify(ctx, exec, vp, p.Rand, cpStart, segIdx, n)
 		}
 	}
-	// Per-attempt failures are the supervisor's to retry, so runWalker must
-	// not bundle them; only the supervisor's terminal error — give-up,
+	// A failed attempt is the supervisor's to retry, so runSegment never
+	// bundles; only the supervisor's terminal error — give-up,
 	// cancellation, a failed checkpoint/restore — freezes the black box and
 	// writes the post-mortem bundle, supervisor decision log included.
-	s.inSupervise = true
-	defer func() { s.inSupervise = false }()
 	rep, err = resilience.Supervise(ctx, d, p)
 	if err != nil {
 		s.writePostmortem(err, rep)
@@ -196,19 +211,23 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 	return rep, err
 }
 
-// runSegment executes n time steps with the engine the supervisor selected.
-// A serial engine (LOOPS) also forces serial execution, so the last rung
-// shares nothing with the failure modes above it.
-func (s *Stencil[T]) runSegment(ctx context.Context, eng resilience.Engine, exec BaseFunc, n int) error {
+// runSegment executes n time steps with the engine the supervisor selected,
+// under the run's walker observer obs. A serial engine (LOOPS) also forces
+// serial execution, so the last rung shares nothing with the failure modes
+// above it.
+func (s *Stencil[T]) runSegment(ctx context.Context, eng resilience.Engine, exec BaseFunc, obs *core.Observer, n int) error {
 	w, err := s.newWalker()
 	if err != nil {
+		return err
+	}
+	if err := s.runnable(ctx, n); err != nil {
 		return err
 	}
 	w.Algorithm = eng
 	w.Serial = w.Serial || eng.Serial()
 	w.Boundary = exec
 	w.Interior = exec
-	return s.runWalker(ctx, w, n)
+	return s.runWalker(ctx, w, obs, n)
 }
 
 // shadowVerify re-executes the dependency cone of a sampled sub-box of the
